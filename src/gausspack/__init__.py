@@ -14,6 +14,7 @@ from .errors import (
     AccuracyError,
     BoundaryError,
     GausspackError,
+    NonFiniteError,
     ParameterError,
     ResolutionError,
     ScenarioError,
@@ -95,6 +96,7 @@ __all__ = [
     "GridResult",
     "IntegralResult",
     "Moments",
+    "NonFiniteError",
     "OscillatorDerived",
     "PRESET_NAMES",
     "PacketParams",

@@ -28,6 +28,7 @@ Numerical care taken here:
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,7 +260,7 @@ def _check_centered(system, params):
 
 def state_at(system, params, t):
     """Closed-form PacketState of `system` with initial `params` at time t."""
-    _require_time(t)
+    t = _as_time(t)
     kind = system.kind
     if kind is SystemKind.FREE:
         return _drifting_state(params, t, 0.0)
@@ -274,9 +275,15 @@ def state_at(system, params, t):
     raise ParameterError(f"unknown system kind {kind!r}")  # pragma: no cover
 
 
-def _require_time(t):
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
+def _as_time(t):
+    """t as a finite float; any real number but a bool is accepted."""
+    if type(t) is not float:
+        if isinstance(t, bool) or not isinstance(t, numbers.Real):
+            raise ParameterError(f"t must be a finite number, got {t!r}")
+        t = float(t)
+    if not math.isfinite(t):
         raise ParameterError(f"t must be a finite number, got {t!r}")
+    return t
 
 
 def eval_psi(system, params, x, t):
@@ -291,7 +298,7 @@ def probability_density(system, params, x, t):
 
 def moments_at(system, params, t):
     """Closed-form expectation values at time t."""
-    _require_time(t)
+    t = _as_time(t)
     hbar = params.hbar
     mass = params.mass
     kind = system.kind

@@ -2,13 +2,13 @@
 
 Every command is deterministic — identical inputs produce byte-identical
 output files.  Exit codes: 0 success, 1 validation or constraint
-failure, 2 numerical non-convergence, 64 usage error.
+failure, 2 numerical non-convergence or a non-finite value in an output
+table, 64 usage error.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import (
     AccuracyError,
     BoundaryError,
     GausspackError,
+    NonFiniteError,
     ResolutionError,
     ScenarioError,
     UnknownPresetError,
@@ -27,7 +28,7 @@ from .kedensity import fractions_series
 from .scenarios import PRESET_NAMES, load_scenario, preset, serialize_scenario
 from .validation import report, run_checks
 
-__all__ = ["main", "OutputRequest"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -40,19 +41,6 @@ _VALIDATE_COLUMNS = (
     "name", "system", "params", "analytic", "oracle",
     "abs_err", "rel_err", "tol", "pass",
 )
-
-
-@dataclass(frozen=True)
-class OutputRequest:
-    """Where and how a command writes: format, destination, output set."""
-
-    format: str
-    path: str
-    which: frozenset
-
-    def __post_init__(self):
-        if self.format not in ("csv", "json", "svg"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,11 +152,8 @@ def _evolve_tables(scenario):
         window = scenario.window.resolve(scenario.system, scenario.params, t)
         grid = sample_grid(
             scenario.system, scenario.params, t, window, scenario.grid_n)
-        rows = [
-            list(row)
-            for row in zip(grid.xs, grid.psi.real, grid.psi.imag,
-                           np.abs(grid.psi), grid.prob)
-        ]
+        rows = np.column_stack(
+            (grid.xs, grid.psi.real, grid.psi.imag, np.abs(grid.psi), grid.prob))
         tables.append((t, list(_EVOLVE_COLUMNS), rows))
     return tables
 
@@ -189,7 +174,10 @@ def _write_tables(tables, scenario, args, command):
         return EXIT_OK
     if command == "evolve" and args.combined:
         columns = ["t"] + tables[0][1]
-        rows = [[t] + row for t, _, trows in tables for row in trows]
+        rows = np.vstack([
+            np.column_stack((np.full(len(trows), t), trows))
+            for t, _, trows in tables
+        ])
         _emit(render_csv(columns, rows), args.out)
         return EXIT_OK
     paths = _table_paths(args.out, len(tables))
@@ -206,7 +194,8 @@ def cmd_evolve(args):
 def cmd_fractions(args):
     scenario = _load(args)
     splits = fractions_series(scenario.system, scenario.params, scenario.times)
-    rows = [[s.t, s.total, s.plus, s.minus, s.r_plus, s.r_minus] for s in splits]
+    rows = np.array(
+        [[s.t, s.total, s.plus, s.minus, s.r_plus, s.r_minus] for s in splits])
     if args.format == "json":
         doc = {
             "version": 1,
@@ -262,7 +251,7 @@ def main(argv=None):
     except (UnknownPresetError, ScenarioError) as exc:
         print(f"gausspack: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AccuracyError, ResolutionError, BoundaryError) as exc:
+    except (AccuracyError, ResolutionError, BoundaryError, NonFiniteError) as exc:
         print(f"gausspack: numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except GausspackError as exc:

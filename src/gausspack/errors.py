@@ -30,6 +30,10 @@ class ResolutionError(GausspackError):
     """A sampled signal is too coarse for the requested transform."""
 
 
+class NonFiniteError(GausspackError, ValueError):
+    """A NaN or infinity reached a table that was about to be written."""
+
+
 class BoundaryError(GausspackError):
     """A propagated packet came too close to the edge of its domain."""
 

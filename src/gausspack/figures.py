@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import format_rows
 from .analytic import sample_grid, state_at
 from .errors import ParameterError
 from .kedensity import kinetic_density, scaled_density
@@ -58,7 +59,11 @@ def figure_columns(scenario):
 
 
 def figure_tables(scenario):
-    """One (t, columns, rows) table per scenario time, matching the plots."""
+    """One (t, columns, rows) table per scenario time, matching the plots.
+
+    rows is a 2-D float64 array with one row per grid point and one
+    column per name in columns.
+    """
     columns = figure_columns(scenario)
     tables = []
     for t in scenario.times:
@@ -71,8 +76,7 @@ def figure_tables(scenario):
             cols.append(kinetic_density(scenario.system, scenario.params, grid.xs, t))
         if "scaled" in scenario.outputs:
             cols.append(scaled_density(scenario.system, scenario.params, grid.xs, t))
-        rows = [list(row) for row in zip(*cols)]
-        tables.append((t, columns, rows))
+        tables.append((t, columns, np.column_stack(cols)))
     return tables
 
 
@@ -170,15 +174,13 @@ def _render_panel(out, panel, px, py):
         f'<text x="{px + _PANEL_W / 2:.2f}" y="{py + _PANEL_H + 30:.2f}" '
         f'text-anchor="middle" class="lbl">{panel.xlabel}</text>'
     )
+    sx = px + (xs - xlo) / (xhi - xlo) * _PANEL_W
     for color, dash, width, ys in panel.curves:
-        pts = []
-        for x, y in zip(xs, ys):
-            sx = px + (x - xlo) / (xhi - xlo) * _PANEL_W
-            sy = py + _PANEL_H - (y - ylo) / (yhi - ylo) * _PANEL_H
-            pts.append(f"{sx:.2f},{sy:.2f}")
+        sy = py + _PANEL_H - (ys - ylo) / (yhi - ylo) * _PANEL_H
+        pts = "".join(format_rows(np.column_stack((sx, sy)), "%.2f", ",", " "))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         out.append(
-            f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" '
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"{dash_attr}/>'
         )
 

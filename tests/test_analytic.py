@@ -200,6 +200,24 @@ def test_oscillators_reject_offset_start():
         g.state_at(g.inverted_oscillator(1.0), params, 0.1)
 
 
+@pytest.mark.parametrize("t", [1, np.int64(1), np.float32(0.5), np.float64(0.5)])
+def test_time_accepts_any_real_as_float(four_cases, t):
+    for system, params, _ in four_cases:
+        state = g.state_at(system, params, t)
+        assert type(state.t) is float
+        assert state == g.state_at(system, params, float(t))
+        assert g.moments_at(system, params, t) == g.moments_at(system, params, float(t))
+
+
+@pytest.mark.parametrize("t", [True, np.bool_(False), "1", 1j, math.nan, -math.inf])
+def test_time_rejects_bool_and_non_reals(t):
+    system, params = g.free_particle(), g.make_params()
+    with pytest.raises(g.ParameterError):
+        g.state_at(system, params, t)
+    with pytest.raises(g.ParameterError):
+        g.moments_at(system, params, t)
+
+
 def test_inverted_time_guard():
     system = g.inverted_oscillator(2.0)
     params = g.make_params()

@@ -1,5 +1,13 @@
+import dataclasses
+import hashlib
 import json
 import pathlib
+
+import numpy as np
+import pytest
+
+import gausspack as g
+from gausspack import cli
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -179,3 +187,62 @@ def test_out_of_range_time_is_reported(run_cli):
     code, _, err = run_cli("evolve", "--scenario", doc)
     assert code == 1
     assert err.startswith("gausspack:")
+
+
+# sha256 of every file each command writes, recorded before table emission
+# moved to whole-array formatting; the bytes must never change.
+OUTPUT_DIGESTS = {
+    ("evolve", "--preset", "fig1"): {
+        "out_000.csv": "e8128c3742523856f14b66feb4accb7e26ec679b4eaded04ddd6dd64ec8ed9fd",
+        "out_001.csv": "ed4de778d9da859619f1e85b69db1da0170cb6b85a497acb798aec0a20b6bd66",
+        "out_002.csv": "35d81f1550c0c3aa6761b67be2556312e8933f368f1b5b4ba1a510cb0ceaa25e",
+        "out_003.csv": "5cc4fc4c178913f8d2d4dde3c8efac4d260231c04070cdb55c486ad7ed61a90c",
+        "out_004.csv": "5c336e73b1ae5bb3a69f43d38dfe64de51589039cc968b4619452587bcd65031",
+    },
+    ("evolve", "--preset", "fig1", "--combined"): {
+        "out.csv": "e577446db1240c2332dc266c4995cdd5090376035d05ed805e4ef4fcf7e5d6c5",
+    },
+    ("evolve", "--preset", "fig1", "--format", "json"): {
+        "out.json": "fbd911fc8b239ed93d6d1d6c1f1aac7076d94be8645f2b3f3669fb1376f0db68",
+    },
+    ("fractions", "--preset", "fig3"): {
+        "out.csv": "70e1913074b84cb7d384cbefaa2536650c4b1b08ced3e313e38a652f1b49c9ef",
+    },
+    ("fractions", "--preset", "fig3", "--format", "json"): {
+        "out.json": "166f138bfffaf1a3d30114080e6192fbe462e03bc9ea153e950db7967e5a8d36",
+    },
+    ("figure", "--preset", "fig2-middle", "--format", "csv"): {
+        "out.csv": "a549a6be1fa46f2754352ab8cc7e7537b79b46659e38071f77020e0b6b656233",
+    },
+    ("figure", "--preset", "fig2-middle", "--format", "json"): {
+        "out.json": "c5e4f39ac5e067942657a9a8c07dc00c9cf53f2c234c1a86803914983f1029a3",
+    },
+}
+
+
+@pytest.mark.parametrize("args", OUTPUT_DIGESTS, ids=" ".join)
+def test_table_output_digests(args, tmp_path):
+    suffix = ".json" if "json" in args else ".csv"
+    assert cli.main([*args, "--out", str(tmp_path / f"out{suffix}")]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == OUTPUT_DIGESTS[args]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_table_value_is_a_numerical_error(fmt, monkeypatch, capsys,
+                                                     tmp_path):
+    def grid_with_nan(*args):
+        grid = g.sample_grid(*args)
+        prob = grid.prob.copy()
+        prob[len(prob) // 2] = np.nan
+        return dataclasses.replace(grid, prob=prob)
+
+    monkeypatch.setattr(cli, "sample_grid", grid_with_nan)
+    target = tmp_path / f"psi.{fmt}"
+    code = cli.main(["evolve", "--preset", "fig2-middle", "--format", fmt,
+                     "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("gausspack: numerical error:") and err.count("\n") == 1
+    assert not target.exists()
