@@ -7,7 +7,10 @@ Every solution handled here keeps the form
 
 with Re(quad_coeff) > 0, so a single PacketState container describes all
 four systems and downstream code (densities, energies, grids) never
-needs per-system branches.
+needs per-system branches.  The systems form two solution families, each
+with one constructor: drifting (free and uniformly accelerated packets)
+and oscillator (harmonic, and inverted as its continuation to imaginary
+frequency).  total_kinetic is the one closed form of T(t) = <p**2>/2m.
 
 Numerical care taken here:
 
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, TimeRangeError
-from .quantities import SystemKind
+from .quantities import SystemKind, _require_finite
 
 __all__ = [
     "PacketState",
@@ -44,11 +47,13 @@ __all__ = [
     "eval_psi",
     "probability_density",
     "moments_at",
+    "total_kinetic",
     "sample_grid",
     "INVERTED_TIME_GUARD",
 ]
 
 INVERTED_TIME_GUARD = 300.0
+_DRIFTING = (SystemKind.FREE, SystemKind.UNIFORM_ACCELERATION)
 _HYPERBOLIC_SPLIT = 30.0
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -146,21 +151,9 @@ class Moments:
     energy: float
 
 
-def _scaled_hyperbolics(z):
-    """Return (scale, c, s) with cosh(z) = e**scale * c, sinh(z) = e**scale * s.
-
-    For |z| <= 30 the plain library functions are used (scale = 0);
-    beyond that the dominant exponential is factored out so that
-    products of several hyperbolic factors cannot overflow prematurely.
-    """
-    if abs(z) <= _HYPERBOLIC_SPLIT:
-        return 0.0, math.cosh(z), math.sinh(z)
-    damp = math.exp(-2.0 * abs(z))
-    c = 0.5 * (1.0 + damp)
-    s = 0.5 * (1.0 - damp)
-    if z < 0:
-        s = -s
-    return abs(z), c, s
+def _drift_force(system):
+    """Constant force of a drifting system: zero for the free particle."""
+    return 0.0 if system.kind is SystemKind.FREE else system.force
 
 
 def _drifting_state(params, t, force):
@@ -191,55 +184,53 @@ def _drifting_state(params, t, force):
     )
 
 
-def _harmonic_state(params, omega, t):
-    hbar = params.hbar
-    mass = params.mass
-    beta = params.beta
-    p0 = params.p0
+def _oscillator_terms(system, t):
+    """(omega, sign, grow, grow2, c, s) of an oscillator at time t.
 
-    c = math.cos(omega * t)
-    s = math.sin(omega * t)
-    gamma = hbar / (mass * omega * beta)
-    envelope = complex(beta * c, gamma * s)
-    width = abs(envelope)
-    center = p0 * s / (mass * omega)
-
-    quad = complex(
-        1.0 / (2.0 * width * width),
-        mass * omega * (beta * beta - gamma * gamma) * s * c
-        / (2.0 * hbar * width * width),
-    )
-    lin = p0 * c / hbar
-    const = -p0 * center * c / (2.0 * hbar) - 0.5 * cmath.phase(envelope)
-    norm = 1.0 / math.sqrt(_SQRT_PI * width)
-    return PacketState(
-        t=t, center=center, width=width, quad_coeff=quad,
-        lin_phase=lin, const_phase=const, norm=norm,
-    )
-
-
-def _inverted_state(params, omega_tilde, t):
-    if abs(omega_tilde * t) > INVERTED_TIME_GUARD:
+    The inverted oscillator is the harmonic one continued to omega ->
+    i*omega_tilde: cos and sin become cosh = grow*c and sinh = grow*s, and
+    omega**2 changes sign, carried by sign = -1.  Up to |omega_tilde*t| = 30
+    the plain library functions are used (grow = grow2 = 1.0); beyond that
+    the dominant exponential grow = e**|z| (grow2 = e**(2|z|)) is factored
+    out so that products of several hyperbolic factors cannot overflow
+    prematurely.  The harmonic oscillator has sign = +1 and grow = grow2 =
+    1.0; products with these are exact, so the shared closed forms keep
+    each system's bits.
+    """
+    if system.kind is SystemKind.HARMONIC:
+        omega = system.omega
+        return omega, 1.0, 1.0, 1.0, math.cos(omega * t), math.sin(omega * t)
+    omega = system.omega_tilde
+    z = omega * t
+    if abs(z) > INVERTED_TIME_GUARD:
         raise TimeRangeError(
-            f"|omega_tilde*t| = {abs(omega_tilde * t):g} exceeds the supported "
+            f"|omega_tilde*t| = {abs(z):g} exceeds the supported "
             f"range {INVERTED_TIME_GUARD:g}"
         )
+    if abs(z) <= _HYPERBOLIC_SPLIT:
+        return omega, -1.0, 1.0, 1.0, math.cosh(z), math.sinh(z)
+    damp = math.exp(-2.0 * abs(z))
+    s = 0.5 * (1.0 - damp)
+    return (omega, -1.0, math.exp(abs(z)), math.exp(2.0 * abs(z)),
+            0.5 * (1.0 + damp), -s if z < 0 else s)
+
+
+def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
+    """Harmonic and inverted oscillator packets share one solution family."""
     hbar = params.hbar
     mass = params.mass
     beta = params.beta
     p0 = params.p0
 
-    scale, c, s = _scaled_hyperbolics(omega_tilde * t)
-    grow = math.exp(scale)
-    gamma = hbar / (mass * omega_tilde * beta)
+    gamma = hbar / (mass * omega * beta)
     envelope = complex(beta * c, gamma * s)
     abs_env = abs(envelope)
     width = grow * abs_env
-    center = p0 * grow * s / (mass * omega_tilde)
+    center = p0 * grow * s / (mass * omega)
 
     quad = complex(
         1.0 / (2.0 * width * width),
-        -mass * omega_tilde * (beta * beta + gamma * gamma) * s * c
+        sign * mass * omega * (beta * beta - sign * gamma * gamma) * s * c
         / (2.0 * hbar * abs_env * abs_env),
     )
     lin = p0 * grow * c / hbar
@@ -260,30 +251,11 @@ def _check_centered(system, params):
 
 def state_at(system, params, t):
     """Closed-form PacketState of `system` with initial `params` at time t."""
-    t = _as_time(t)
-    kind = system.kind
-    if kind is SystemKind.FREE:
-        return _drifting_state(params, t, 0.0)
-    if kind is SystemKind.UNIFORM_ACCELERATION:
-        return _drifting_state(params, t, system.force)
-    if kind is SystemKind.HARMONIC:
-        _check_centered(system, params)
-        return _harmonic_state(params, system.omega, t)
-    if kind is SystemKind.INVERTED:
-        _check_centered(system, params)
-        return _inverted_state(params, system.omega_tilde, t)
-    raise ParameterError(f"unknown system kind {kind!r}")  # pragma: no cover
-
-
-def _as_time(t):
-    """t as a finite float; any real number but a bool is accepted."""
-    if type(t) is not float:
-        if isinstance(t, bool) or not isinstance(t, numbers.Real):
-            raise ParameterError(f"t must be a finite number, got {t!r}")
-        t = float(t)
-    if not math.isfinite(t):
-        raise ParameterError(f"t must be a finite number, got {t!r}")
-    return t
+    t = _require_finite("t", t)
+    if system.kind in _DRIFTING:
+        return _drifting_state(params, t, _drift_force(system))
+    _check_centered(system, params)
+    return _oscillator_state(params, t, *_oscillator_terms(system, t))
 
 
 def eval_psi(system, params, x, t):
@@ -296,111 +268,70 @@ def probability_density(system, params, x, t):
     return state_at(system, params, t).prob(x)
 
 
+def total_kinetic(system, params, t):
+    """Closed-form kinetic expectation value T(t) = <p**2>_t / 2m."""
+    if system.kind in _DRIFTING:
+        p_t = params.p0 + _drift_force(system) * t
+        return (p_t * p_t + 1.0 / (2.0 * params.alpha**2)) / (2.0 * params.mass)
+    omega, _, _, grow2, c, s = _oscillator_terms(system, t)
+    e_kin0 = (params.p0**2 + params.hbar**2 / (2.0 * params.beta**2)) / (
+        2.0 * params.mass
+    )
+    e_pot0 = params.mass * omega**2 * params.beta**2 / 4.0
+    return grow2 * (e_kin0 * c * c + e_pot0 * s * s)
+
+
 def moments_at(system, params, t):
     """Closed-form expectation values at time t."""
-    t = _as_time(t)
+    t = _require_finite("t", t)
     hbar = params.hbar
     mass = params.mass
-    kind = system.kind
+    beta = params.beta
+    p0 = params.p0
 
-    if kind in (SystemKind.FREE, SystemKind.UNIFORM_ACCELERATION):
-        force = 0.0 if kind is SystemKind.FREE else system.force
+    if system.kind in _DRIFTING:
+        force = _drift_force(system)
         state = _drifting_state(params, t, force)
-        p_t = params.p0 + force * t
+        mean_p = p0 + force * t
         var_p = 1.0 / (2.0 * params.alpha**2)
-        kinetic = (p_t * p_t + var_p) / (2.0 * mass)
         potential = -force * state.center
-        energy = (params.p0**2 + var_p) / (2.0 * mass) - force * params.x0
-        return Moments(
-            t=t, mean_x=state.center, var_x=state.width**2 / 2.0,
-            mean_p=p_t, var_p=var_p, kinetic=kinetic,
-            potential=potential, energy=energy,
-        )
-
-    if kind is SystemKind.HARMONIC:
+        energy = (p0**2 + var_p) / (2.0 * mass) - force * params.x0
+    else:
         _check_centered(system, params)
-        omega = system.omega
-        beta = params.beta
-        p0 = params.p0
-        state = _harmonic_state(params, omega, t)
-        c = math.cos(omega * t)
-        s = math.sin(omega * t)
-        e_kin0 = (p0 * p0 + hbar * hbar / (2.0 * beta * beta)) / (2.0 * mass)
-        e_pot0 = mass * omega * omega * beta * beta / 4.0
-        kinetic = e_kin0 * c * c + e_pot0 * s * s
-        potential = e_kin0 * s * s + e_pot0 * c * c
-        var_p = (hbar * hbar / (2.0 * beta * beta)) * c * c \
-            + (mass * omega * beta) ** 2 * s * s / 2.0
-        return Moments(
-            t=t, mean_x=state.center, var_x=state.width**2 / 2.0,
-            mean_p=p0 * c, var_p=var_p, kinetic=kinetic,
-            potential=potential, energy=e_kin0 + e_pot0,
-        )
-
-    if kind is SystemKind.INVERTED:
-        _check_centered(system, params)
-        omega_tilde = system.omega_tilde
-        beta = params.beta
-        p0 = params.p0
-        state = _inverted_state(params, omega_tilde, t)
-        scale, c, s = _scaled_hyperbolics(omega_tilde * t)
-        grow = math.exp(scale)
-        grow2 = grow * grow
-        e_kin0 = (p0 * p0 + hbar * hbar / (2.0 * beta * beta)) / (2.0 * mass)
-        e_pot0 = mass * omega_tilde * omega_tilde * beta * beta / 4.0
-        kinetic = grow2 * (e_kin0 * c * c + e_pot0 * s * s)
-        potential = -0.5 * mass * omega_tilde**2 * (
-            state.center**2 + state.width**2 / 2.0
-        )
+        terms = _oscillator_terms(system, t)
+        omega, sign, grow, grow2, c, s = terms
+        state = _oscillator_state(params, t, *terms)
+        mean_p = p0 * grow * c
         var_p = grow2 * (
             (hbar * hbar / (2.0 * beta * beta)) * c * c
-            + (mass * omega_tilde * beta) ** 2 * s * s / 2.0
+            + (mass * omega * beta) ** 2 * s * s / 2.0
         )
-        return Moments(
-            t=t, mean_x=state.center, var_x=state.width**2 / 2.0,
-            mean_p=p0 * grow * c, var_p=var_p, kinetic=kinetic,
-            potential=potential, energy=e_kin0 - e_pot0,
+        # <V> = sign * mass*omega**2*<x**2>/2 with <x**2> = center**2 + var_x.
+        potential = sign * 0.5 * mass * omega**2 * (
+            state.center**2 + state.width**2 / 2.0
         )
-
-    raise ParameterError(f"unknown system kind {kind!r}")  # pragma: no cover
-
-
-def _thread_count():
-    import os
-
-    raw = os.environ.get("GAUSSPACK_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(f"GAUSSPACK_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+        e_kin0 = (p0 * p0 + hbar * hbar / (2.0 * beta * beta)) / (2.0 * mass)
+        energy = e_kin0 + sign * mass * omega * omega * beta * beta / 4.0
+    return Moments(
+        t=t, mean_x=state.center, var_x=state.width**2 / 2.0,
+        mean_p=mean_p, var_p=var_p, kinetic=total_kinetic(system, params, t),
+        potential=potential, energy=energy,
+    )
 
 
 def sample_grid(system, params, t, window, n):
     """Evaluate psi on n uniformly spaced points spanning `window`.
 
-    window is an (xmin, xmax) pair with xmin < xmax; n >= 2.  Evaluation
-    may be chunked over GAUSSPACK_THREADS worker threads; the result is
-    bitwise identical for any thread count because every point is
-    evaluated by the same elementwise operations.
+    window is an (xmin, xmax) pair with xmin < xmax; n >= 2.
     """
     xmin, xmax = float(window[0]), float(window[1])
     if not (math.isfinite(xmin) and math.isfinite(xmax) and xmin < xmax):
         raise ParameterError(f"window must satisfy xmin < xmax, got {window!r}")
-    if not (isinstance(n, int) and n >= 2):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
         raise ParameterError(f"n must be an integer >= 2, got {n!r}")
 
     state = state_at(system, params, t)
-    xs = np.linspace(xmin, xmax, n)
-    threads = _thread_count()
-    if threads == 1 or n < 4 * threads:
-        psi = state.psi(xs)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(xs, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(state.psi, chunks))
-        psi = np.concatenate(parts)
+    xs = np.linspace(xmin, xmax, int(n))
+    psi = state.psi(xs)
     prob = np.abs(psi) ** 2
     return GridResult(t=t, xs=xs, psi=psi, prob=prob)

@@ -16,9 +16,12 @@ energies carried by the trailing and leading halves:
 
     T_plus/minus(t) = T(t)/2 -/+ (hbar**2 / (m*sqrt(pi))) * l * Im(a) * w
 
-The per-system expressions below are this identity specialized to each
-solution; docs/energy_split.md records the full derivation, including
-the harmonic-oscillator case whose prefactor
+The per-family expressions below (drifting: free and uniformly
+accelerated packets; oscillator: harmonic and inverted) are this
+identity specialized to each solution family.  T(t) itself is
+analytic.total_kinetic, re-exported here.  docs/energy_split.md records
+the full derivation, including the harmonic-oscillator case whose
+prefactor
 p0*omega*sin*cos**2*(beta0**4/beta**2 - beta**2) / (2*sqrt(pi)*|A|)
 was re-derived independently before being trusted here.
 """
@@ -27,7 +30,13 @@ import math
 
 import numpy as np
 
-from .analytic import _scaled_hyperbolics, state_at
+from .analytic import (
+    _DRIFTING,
+    _drift_force,
+    _oscillator_terms,
+    state_at,
+    total_kinetic,
+)
 from .errors import ParameterError
 from .quantities import SystemKind
 
@@ -80,74 +89,25 @@ def kinetic_density(system, params, x, t):
     return value
 
 
-def _base_energies(params):
-    """Kinetic and potential scales of the initial packet for oscillators."""
-    e_kin0 = (params.p0**2 + params.hbar**2 / (2.0 * params.beta**2)) / (
-        2.0 * params.mass
-    )
-    return e_kin0
-
-
-def total_kinetic(system, params, t):
-    """Closed-form kinetic expectation value T(t) = <p**2>_t / 2m."""
-    kind = system.kind
-    if kind in (SystemKind.FREE, SystemKind.UNIFORM_ACCELERATION):
-        force = 0.0 if kind is SystemKind.FREE else system.force
-        p_t = params.p0 + force * t
-        return (p_t * p_t + 1.0 / (2.0 * params.alpha**2)) / (2.0 * params.mass)
-    if kind is SystemKind.HARMONIC:
-        c = math.cos(system.omega * t)
-        s = math.sin(system.omega * t)
-        e_kin0 = _base_energies(params)
-        e_pot0 = params.mass * system.omega**2 * params.beta**2 / 4.0
-        return e_kin0 * c * c + e_pot0 * s * s
-    if kind is SystemKind.INVERTED:
-        scale, c, s = _scaled_hyperbolics(system.omega_tilde * t)
-        grow2 = math.exp(2.0 * scale)
-        e_kin0 = _base_energies(params)
-        e_pot0 = params.mass * system.omega_tilde**2 * params.beta**2 / 4.0
-        return grow2 * (e_kin0 * c * c + e_pot0 * s * s)
-    raise ParameterError(f"unknown system kind {kind!r}")  # pragma: no cover
-
-
 def _split_delta(system, params, t):
-    """Half of T_plus - T_minus, in closed form per system."""
-    kind = system.kind
+    """Half of T_plus - T_minus, in closed form per solution family."""
     p0 = params.p0
     mass = params.mass
-    hbar = params.hbar
-    beta = params.beta
 
-    if kind in (SystemKind.FREE, SystemKind.UNIFORM_ACCELERATION):
-        force = 0.0 if kind is SystemKind.FREE else system.force
+    if system.kind in _DRIFTING:
         ratio = t / params.t0
         spread = ratio / math.hypot(1.0, ratio)
-        p_t = p0 + force * t
+        p_t = p0 + _drift_force(system) * t
         return p_t * spread / (2.0 * mass * params.alpha * _SQRT_PI)
 
-    if kind is SystemKind.HARMONIC:
-        omega = system.omega
-        c = math.cos(omega * t)
-        s = math.sin(omega * t)
-        gamma = hbar / (mass * omega * beta)
-        width = math.hypot(beta * c, gamma * s)
-        return (
-            p0 * omega * s * c * c * (gamma * gamma - beta * beta)
-            / (2.0 * _SQRT_PI * width)
-        )
-
-    if kind is SystemKind.INVERTED:
-        omega_tilde = system.omega_tilde
-        scale, c, s = _scaled_hyperbolics(omega_tilde * t)
-        grow2 = math.exp(2.0 * scale)
-        gamma = hbar / (mass * omega_tilde * beta)
-        env = math.hypot(beta * c, gamma * s)
-        return grow2 * (
-            p0 * omega_tilde * s * c * c * (gamma * gamma + beta * beta)
-            / (2.0 * _SQRT_PI * env)
-        )
-
-    raise ParameterError(f"unknown system kind {kind!r}")  # pragma: no cover
+    omega, sign, _, grow2, c, s = _oscillator_terms(system, t)
+    beta = params.beta
+    gamma = params.hbar / (mass * omega * beta)
+    env = math.hypot(beta * c, gamma * s)
+    return grow2 * (
+        p0 * omega * s * c * c * (gamma * gamma - sign * beta * beta)
+        / (2.0 * _SQRT_PI * env)
+    )
 
 
 def half_energies(system, params, t):
@@ -202,14 +162,12 @@ def fraction_limits(system, params):
         )
         return 0.5 + shift, 0.5 - shift
 
-    if kind is SystemKind.INVERTED:
-        gamma = params.hbar / (params.mass * system.omega_tilde * params.beta)
-        kappa = gamma * gamma + params.beta**2
-        s = p0 / (params.mass * system.omega_tilde)
-        shift = _TWO_OVER_SQRT_PI * (s / (2.0 * s * s + kappa)) * math.sqrt(kappa)
-        return 0.5 + shift, 0.5 - shift
-
-    raise ParameterError(f"unknown system kind {kind!r}")  # pragma: no cover
+    # inverted oscillator
+    gamma = params.hbar / (params.mass * system.omega_tilde * params.beta)
+    kappa = gamma * gamma + params.beta**2
+    s = p0 / (params.mass * system.omega_tilde)
+    shift = _TWO_OVER_SQRT_PI * (s / (2.0 * s * s + kappa)) * math.sqrt(kappa)
+    return 0.5 + shift, 0.5 - shift
 
 
 def extremal_p0(system, params):

@@ -13,6 +13,7 @@ so the derived fields stay consistent.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,14 +41,37 @@ class SystemKind(str, Enum):
     INVERTED = "inverted"
 
 
-def _require_positive(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ParameterError(f"{name} must be a finite positive number, got {value!r}")
+def _as_float(value):
+    """value as a float if it is a real number other than a bool, else None.
+
+    The one coercion behind the parameter checks, the evolution time and
+    scenario numbers: np.float32, np.int64 and Fraction are accepted
+    alike, and True/False never are.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    return float(value)
 
 
 def _require_finite(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+    number = _as_float(value)
+    if number is None or not math.isfinite(number):
         raise ParameterError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def _require_positive(name, value):
+    number = _as_float(value)
+    if number is None or not (math.isfinite(number) and number > 0):
+        raise ParameterError(f"{name} must be a finite positive number, got {value!r}")
+    return number
+
+
+def _store_checked(obj, name, check):
+    """Validate field `name` of a frozen dataclass and store it as a float."""
+    object.__setattr__(obj, name, check(name, getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -58,8 +82,8 @@ class PhysicalConstants:
     mass: float = 1.0
 
     def __post_init__(self):
-        _require_positive("hbar", self.hbar)
-        _require_positive("mass", self.mass)
+        _store_checked(self, "hbar", _require_positive)
+        _store_checked(self, "mass", _require_positive)
 
 
 @dataclass(frozen=True)
@@ -79,9 +103,9 @@ class PacketParams:
     t0: float
 
     def __post_init__(self):
-        _require_positive("alpha", self.alpha)
-        _require_finite("x0", self.x0)
-        _require_finite("p0", self.p0)
+        _store_checked(self, "alpha", _require_positive)
+        _store_checked(self, "x0", _require_finite)
+        _store_checked(self, "p0", _require_finite)
         if self.beta != self.alpha * self.constants.hbar:
             raise ParameterError("beta must equal alpha * hbar; use make_params")
         if self.t0 != self.constants.mass * self.constants.hbar * self.alpha**2:
@@ -109,9 +133,8 @@ class PacketParams:
 def make_params(hbar=1.0, mass=1.0, alpha=1.0, x0=0.0, p0=0.0):
     """Build a PacketParams with consistent derived beta and t0."""
     constants = PhysicalConstants(hbar=hbar, mass=mass)
-    _require_positive("alpha", alpha)
-    _require_finite("x0", x0)
-    _require_finite("p0", p0)
+    hbar, mass = constants.hbar, constants.mass
+    alpha = _require_positive("alpha", alpha)
     return PacketParams(
         constants=constants,
         alpha=alpha,
@@ -142,15 +165,15 @@ class SystemSpec:
             if any(v is not None for v in extras):
                 raise ParameterError("free system takes no shape parameter")
         elif self.kind is SystemKind.UNIFORM_ACCELERATION:
-            _require_finite("force", self.force)
+            _store_checked(self, "force", _require_finite)
             if self.omega is not None or self.omega_tilde is not None:
                 raise ParameterError("accelerating system takes only a force")
         elif self.kind is SystemKind.HARMONIC:
-            _require_positive("omega", self.omega)
+            _store_checked(self, "omega", _require_positive)
             if self.force is not None or self.omega_tilde is not None:
                 raise ParameterError("harmonic system takes only omega")
         elif self.kind is SystemKind.INVERTED:
-            _require_positive("omega_tilde", self.omega_tilde)
+            _store_checked(self, "omega_tilde", _require_positive)
             if self.force is not None or self.omega is not None:
                 raise ParameterError("inverted system takes only omega_tilde")
         else:  # pragma: no cover - enum is closed
@@ -183,6 +206,6 @@ class OscillatorDerived:
 
 def oscillator_derived(constants, omega):
     """Return beta0 = sqrt(hbar/(mass*omega)) and tau = 2*pi/omega."""
-    _require_positive("omega", omega)
+    omega = _require_positive("omega", omega)
     beta0 = math.sqrt(constants.hbar / (constants.mass * omega))
     return OscillatorDerived(beta0=beta0, tau=2.0 * math.pi / omega)

@@ -61,6 +61,7 @@ from .quantities import (
     make_params,
     oscillator_derived,
     uniform_acceleration,
+    _as_float,
 )
 
 __all__ = [
@@ -173,11 +174,12 @@ def _fail(field, message):
 
 
 def _as_number(field, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    number = _as_float(value)
+    if number is None:
         _fail(field, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+    if not math.isfinite(number):
         _fail(field, "must be finite")
-    return float(value)
+    return number
 
 
 def _parse_document(source):

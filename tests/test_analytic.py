@@ -224,6 +224,31 @@ def test_inverted_time_guard():
     with pytest.raises(g.TimeRangeError):
         g.state_at(system, params, 151.0)  # omega_tilde * t = 302 > 300
     g.state_at(system, params, 149.0)  # inside the guard
+    for fn in (g.total_kinetic, g.half_energies, g.moments_at):
+        with pytest.raises(g.TimeRangeError):
+            fn(system, params, -151.0)
+
+
+def test_moments_kinetic_is_total_kinetic():
+    """moments_at and total_kinetic evaluate one formula: equal bit for bit."""
+    rng = np.random.default_rng(29)
+    systems = (
+        (g.free_particle(), lambda: float(rng.uniform(-20.0, 20.0))),
+        (g.uniform_acceleration(-0.7), lambda: float(rng.uniform(-20.0, 20.0))),
+        (g.harmonic_oscillator(1.3), lambda: float(rng.uniform(-40.0, 40.0))),
+        # |omega_tilde*t| in (30, 300): the exponent-extracted hyperbolics
+        (g.inverted_oscillator(0.8),
+         lambda: float(rng.choice([-1.0, 1.0]) * rng.uniform(30.5, 299.0) / 0.8)),
+    )
+    for system, draw_t in systems:
+        for _ in range(200):
+            drifting = system.kind in (g.SystemKind.FREE, g.SystemKind.UNIFORM_ACCELERATION)
+            x0 = float(rng.uniform(-2.0, 2.0)) if drifting else 0.0
+            params = g.make_params(
+                hbar=float(rng.uniform(0.2, 3.0)), mass=float(rng.uniform(0.2, 3.0)),
+                alpha=float(rng.uniform(0.2, 3.0)), x0=x0, p0=float(rng.uniform(-3.0, 3.0)))
+            t = draw_t()
+            assert g.moments_at(system, params, t).kinetic == g.total_kinetic(system, params, t)
 
 
 def test_inverted_large_time_stable():
@@ -266,18 +291,17 @@ def test_sample_grid_basics():
         g.sample_grid(free, params, 1.0, (-2.0, 2.0), 1)
 
 
-def test_sample_grid_thread_count_invariance(monkeypatch):
-    free = g.free_particle()
-    params = g.make_params(alpha=1.0, p0=0.5)
-    monkeypatch.delenv("GAUSSPACK_THREADS", raising=False)
-    base = g.sample_grid(free, params, 0.7, (-9.0, 9.0), 1024)
-    monkeypatch.setenv("GAUSSPACK_THREADS", "3")
-    threaded = g.sample_grid(free, params, 0.7, (-9.0, 9.0), 1024)
-    assert np.all(base.psi == threaded.psi)
-    assert np.all(base.prob == threaded.prob)
-    monkeypatch.setenv("GAUSSPACK_THREADS", "zero")
+@pytest.mark.parametrize("n", [64, np.int64(64), np.int32(64)])
+def test_sample_grid_accepts_any_integer_n(n):
+    free, params = g.free_particle(), g.make_params(p0=0.5)
+    grid = g.sample_grid(free, params, 1.0, (-8.0, 8.0), n)
+    assert np.all(grid.psi == g.sample_grid(free, params, 1.0, (-8.0, 8.0), 64).psi)
+
+
+@pytest.mark.parametrize("n", [True, 64.0, np.float64(64.0), "64", np.int64(1)])
+def test_sample_grid_rejects_bool_and_non_integer_n(n):
     with pytest.raises(g.ParameterError):
-        g.sample_grid(free, params, 0.7, (-9.0, 9.0), 64)
+        g.sample_grid(g.free_particle(), g.make_params(), 1.0, (-8.0, 8.0), n)
 
 
 def test_scalar_and_array_evaluation_agree(four_cases):

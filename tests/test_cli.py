@@ -189,8 +189,29 @@ def test_out_of_range_time_is_reported(run_cli):
     assert err.startswith("gausspack:")
 
 
+# Inline scenarios for the two families the presets leave out: a uniformly
+# accelerated packet and an inverted oscillator, both with hbar, mass != 1.
+# The inverted times reach |omega_tilde*t| > 30, where the hyperbolic
+# functions switch to their exponent-extracted form.
+INLINE_SCENARIOS = {
+    "accel-pin": json.dumps({
+        "version": 1, "name": "accel-pin", "system": "accel", "force": -0.7,
+        "hbar": 0.6, "mass": 1.7, "x0": 0.3, "alpha": 1.3, "p0": 0.9,
+        "times": [-0.8, 0.0, 0.45, 1.7, 6.0],
+        "window": {"unit": "dx_t", "halfwidth": 6.0}, "grid_n": 48,
+    }),
+    "inverted-pin": json.dumps({
+        "version": 1, "name": "inverted-pin", "system": "inverted",
+        "omega_tilde": 1.25, "hbar": 0.7, "mass": 2.1, "alpha": 0.9, "p0": 0.4,
+        "times": [-3.1, 0.0, 0.7, 2.0, 24.5, 26.0, 90.0, 230.0],
+        "window": {"unit": "dx_t", "halfwidth": 6.0}, "grid_n": 48,
+    }),
+}
+
 # sha256 of every file each command writes, recorded before table emission
-# moved to whole-array formatting; the bytes must never change.
+# moved to whole-array formatting (the inline scenarios: before the harmonic
+# and inverted oscillators shared one constructor); the bytes must never
+# change.
 OUTPUT_DIGESTS = {
     ("evolve", "--preset", "fig1"): {
         "out_000.csv": "e8128c3742523856f14b66feb4accb7e26ec679b4eaded04ddd6dd64ec8ed9fd",
@@ -217,13 +238,26 @@ OUTPUT_DIGESTS = {
     ("figure", "--preset", "fig2-middle", "--format", "json"): {
         "out.json": "c5e4f39ac5e067942657a9a8c07dc00c9cf53f2c234c1a86803914983f1029a3",
     },
+    ("fractions", "--scenario", "accel-pin"): {
+        "out.csv": "00dca05fc90975bf5e77886277b90906ed368700c829bd2754976078cd179a9c",
+    },
+    ("evolve", "--scenario", "accel-pin", "--combined"): {
+        "out.csv": "103f083fe4fb7c3edb7e40e9873300c94a15d66880883e57d8b3e09e3f911417",
+    },
+    ("fractions", "--scenario", "inverted-pin"): {
+        "out.csv": "66157b3c84b31f94191b4f4ca0d8200870f083aab858a716436758b135aba111",
+    },
+    ("evolve", "--scenario", "inverted-pin", "--combined"): {
+        "out.csv": "d8d2fd41550a1f5814485544641eb55f30113b4505b85ef3e01535555593aaaf",
+    },
 }
 
 
 @pytest.mark.parametrize("args", OUTPUT_DIGESTS, ids=" ".join)
 def test_table_output_digests(args, tmp_path):
     suffix = ".json" if "json" in args else ".csv"
-    assert cli.main([*args, "--out", str(tmp_path / f"out{suffix}")]) == 0
+    argv = [INLINE_SCENARIOS.get(a, a) for a in args]
+    assert cli.main([*argv, "--out", str(tmp_path / f"out{suffix}")]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert digests == OUTPUT_DIGESTS[args]

@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import math
 
 import numpy as np
@@ -38,6 +39,39 @@ def test_invalid_packet_parameters_rejected():
         g.make_params(p0=float("nan"))
     with pytest.raises(g.ParameterError):
         g.make_params(x0=float("inf"))
+
+
+REAL_TYPES = [np.float32(0.5), np.float64(0.5), np.int64(2), np.int32(2),
+              fractions.Fraction(1, 2), 2]
+NON_REALS = [True, False, np.bool_(True), "0.5", 0.5j, None]
+
+
+@pytest.mark.parametrize("value", REAL_TYPES, ids=repr)
+def test_parameters_accept_any_real_and_store_floats(value):
+    params = g.make_params(hbar=value, mass=value, alpha=value, x0=value, p0=value)
+    for field in (params.hbar, params.mass, params.alpha, params.x0, params.p0):
+        assert type(field) is float and field == float(value)
+    assert params == g.make_params(*(float(value),) * 5)
+    for factory, field in ((g.uniform_acceleration, "force"),
+                           (g.harmonic_oscillator, "omega"),
+                           (g.inverted_oscillator, "omega_tilde")):
+        stored = getattr(factory(value), field)
+        assert type(stored) is float and stored == float(value)
+    derived = g.oscillator_derived(params.constants, value)
+    assert derived == g.oscillator_derived(params.constants, float(value))
+
+
+@pytest.mark.parametrize("value", NON_REALS, ids=repr)
+def test_parameters_reject_bools_and_non_reals(value):
+    for name in ("hbar", "mass", "alpha", "x0", "p0"):
+        with pytest.raises(g.ParameterError, match=name):
+            g.make_params(**{name: value})
+    with pytest.raises(g.ParameterError):
+        g.PhysicalConstants(hbar=value)
+    for factory in (g.uniform_acceleration, g.harmonic_oscillator,
+                    g.inverted_oscillator):
+        with pytest.raises(g.ParameterError):
+            factory(value)
 
 
 def test_packet_params_requires_consistent_derived_fields():
