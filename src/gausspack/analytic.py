@@ -242,20 +242,28 @@ def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
     )
 
 
-def _check_centered(system, params):
+def _checked(system, params, t):
+    """(t as a float, oscillator terms or None for a drifting system).
+
+    The one input gate of the closed forms: a finite real t, and x0 = 0
+    for the oscillators, whose solutions are implemented for that start.
+    """
+    t = _require_finite("t", t)
+    if system.kind in _DRIFTING:
+        return t, None
     if params.x0 != 0.0:
         raise ParameterError(
             f"{system.kind.value} solutions are implemented for x0 = 0 only"
         )
+    return t, _oscillator_terms(system, t)
 
 
 def state_at(system, params, t):
     """Closed-form PacketState of `system` with initial `params` at time t."""
-    t = _require_finite("t", t)
-    if system.kind in _DRIFTING:
+    t, terms = _checked(system, params, t)
+    if terms is None:
         return _drifting_state(params, t, _drift_force(system))
-    _check_centered(system, params)
-    return _oscillator_state(params, t, *_oscillator_terms(system, t))
+    return _oscillator_state(params, t, *terms)
 
 
 def eval_psi(system, params, x, t):
@@ -270,10 +278,15 @@ def probability_density(system, params, x, t):
 
 def total_kinetic(system, params, t):
     """Closed-form kinetic expectation value T(t) = <p**2>_t / 2m."""
-    if system.kind in _DRIFTING:
+    return _kinetic(system, params, *_checked(system, params, t))
+
+
+def _kinetic(system, params, t, terms):
+    """total_kinetic after the input gate; terms as returned by _checked."""
+    if terms is None:
         p_t = params.p0 + _drift_force(system) * t
         return (p_t * p_t + 1.0 / (2.0 * params.alpha**2)) / (2.0 * params.mass)
-    omega, _, _, grow2, c, s = _oscillator_terms(system, t)
+    omega, _, _, grow2, c, s = terms
     e_kin0 = (params.p0**2 + params.hbar**2 / (2.0 * params.beta**2)) / (
         2.0 * params.mass
     )
@@ -283,13 +296,13 @@ def total_kinetic(system, params, t):
 
 def moments_at(system, params, t):
     """Closed-form expectation values at time t."""
-    t = _require_finite("t", t)
+    t, terms = _checked(system, params, t)
     hbar = params.hbar
     mass = params.mass
     beta = params.beta
     p0 = params.p0
 
-    if system.kind in _DRIFTING:
+    if terms is None:
         force = _drift_force(system)
         state = _drifting_state(params, t, force)
         mean_p = p0 + force * t
@@ -297,8 +310,6 @@ def moments_at(system, params, t):
         potential = -force * state.center
         energy = (p0**2 + var_p) / (2.0 * mass) - force * params.x0
     else:
-        _check_centered(system, params)
-        terms = _oscillator_terms(system, t)
         omega, sign, grow, grow2, c, s = terms
         state = _oscillator_state(params, t, *terms)
         mean_p = p0 * grow * c
@@ -314,7 +325,7 @@ def moments_at(system, params, t):
         energy = e_kin0 + sign * mass * omega * omega * beta * beta / 4.0
     return Moments(
         t=t, mean_x=state.center, var_x=state.width**2 / 2.0,
-        mean_p=mean_p, var_p=var_p, kinetic=total_kinetic(system, params, t),
+        mean_p=mean_p, var_p=var_p, kinetic=_kinetic(system, params, t, terms),
         potential=potential, energy=energy,
     )
 
@@ -324,8 +335,9 @@ def sample_grid(system, params, t, window, n):
 
     window is an (xmin, xmax) pair with xmin < xmax; n >= 2.
     """
-    xmin, xmax = float(window[0]), float(window[1])
-    if not (math.isfinite(xmin) and math.isfinite(xmax) and xmin < xmax):
+    xmin = _require_finite("xmin", window[0])
+    xmax = _require_finite("xmax", window[1])
+    if not xmin < xmax:
         raise ParameterError(f"window must satisfy xmin < xmax, got {window!r}")
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
         raise ParameterError(f"n must be an integer >= 2, got {n!r}")

@@ -37,10 +37,11 @@ _MARGIN_R = 18.0
 _MARGIN_T = 46.0
 _MARGIN_B = 64.0
 
+# (figure_tables column, color, dasharray, stroke width) per curve.
 _WAVE_STYLES = (
-    ("abs", "#111827", None, 1.6),
-    ("re", "#2563eb", "1.5 2.5", 1.1),
-    ("im", "#dc2626", "6 3", 1.1),
+    ("abs_psi", "#111827", None, 1.6),
+    ("re_psi", "#2563eb", "1.5 2.5", 1.1),
+    ("im_psi", "#dc2626", "6 3", 1.1),
 )
 _DENS_STYLES = (
     ("prob", "#111827", None, 1.6),
@@ -86,35 +87,6 @@ class _Panel:
     xlabel: str
     xs: np.ndarray
     curves: list  # (color, dasharray, stroke_width, ys)
-
-
-def _wave_panel(scenario, t, grid, xs_plot, xlabel):
-    curves = []
-    series = {
-        "abs": np.abs(grid.psi),
-        "re": grid.psi.real,
-        "im": grid.psi.imag,
-    }
-    for key, color, dash, width in _WAVE_STYLES:
-        curves.append((color, dash, width, series[key]))
-    return _Panel(title=_panel_title(scenario, t), xlabel=xlabel,
-                  xs=xs_plot, curves=curves)
-
-
-def _density_panel(scenario, t, grid, xs_plot, xlabel):
-    curves = []
-    for key, color, dash, width in _DENS_STYLES:
-        if key == "prob" and "prob" not in scenario.outputs:
-            continue
-        if key == "scaled" and "scaled" not in scenario.outputs:
-            continue
-        if key == "prob":
-            ys = grid.prob
-        else:
-            ys = scaled_density(scenario.system, scenario.params, grid.xs, t)
-        curves.append((color, dash, width, ys))
-    return _Panel(title=_panel_title(scenario, t), xlabel=xlabel,
-                  xs=xs_plot, curves=curves)
 
 
 def _panel_title(scenario, t):
@@ -202,17 +174,18 @@ def render_figure(scenario):
     panel_rows = []
     wave_row = []
     dens_row = []
-    for t in scenario.times:
-        window = scenario.window.resolve(scenario.system, scenario.params, t)
-        grid = sample_grid(
-            scenario.system, scenario.params, t, window, scenario.grid_n
-        )
-        xs_plot = grid.xs - state_at(scenario.system, scenario.params, t).center \
-            if recentered else grid.xs
+    for t, columns, rows in figure_tables(scenario):
+        col = dict(zip(columns, rows.T))
+        xs_plot = col["x"] - state_at(scenario.system, scenario.params, t).center \
+            if recentered else col["x"]
+        title = _panel_title(scenario, t)
         if want_wave:
-            wave_row.append(_wave_panel(scenario, t, grid, xs_plot, xlabel))
+            curves = [(c, d, w, col[key]) for key, c, d, w in _WAVE_STYLES]
+            wave_row.append(_Panel(title, xlabel, xs_plot, curves))
         if want_dens:
-            dens_row.append(_density_panel(scenario, t, grid, xs_plot, xlabel))
+            curves = [(c, d, w, col[key]) for key, c, d, w in _DENS_STYLES
+                      if key in scenario.outputs]
+            dens_row.append(_Panel(title, xlabel, xs_plot, curves))
 
     if len(scenario.times) == 1 and want_wave and want_dens:
         panel_rows = [[wave_row[0], dens_row[0]]]

@@ -30,13 +30,7 @@ import math
 
 import numpy as np
 
-from .analytic import (
-    _DRIFTING,
-    _drift_force,
-    _oscillator_terms,
-    state_at,
-    total_kinetic,
-)
+from .analytic import _checked, _drift_force, _kinetic, state_at, total_kinetic
 from .errors import ParameterError
 from .quantities import SystemKind
 
@@ -89,18 +83,18 @@ def kinetic_density(system, params, x, t):
     return value
 
 
-def _split_delta(system, params, t):
+def _split_delta(system, params, t, terms):
     """Half of T_plus - T_minus, in closed form per solution family."""
     p0 = params.p0
     mass = params.mass
 
-    if system.kind in _DRIFTING:
+    if terms is None:
         ratio = t / params.t0
         spread = ratio / math.hypot(1.0, ratio)
         p_t = p0 + _drift_force(system) * t
         return p_t * spread / (2.0 * mass * params.alpha * _SQRT_PI)
 
-    omega, sign, _, grow2, c, s = _oscillator_terms(system, t)
+    omega, sign, _, grow2, c, s = terms
     beta = params.beta
     gamma = params.hbar / (mass * omega * beta)
     env = math.hypot(beta * c, gamma * s)
@@ -112,8 +106,9 @@ def _split_delta(system, params, t):
 
 def half_energies(system, params, t):
     """EnergySplit of the kinetic energy at the packet center at time t."""
-    total = total_kinetic(system, params, t)
-    delta = _split_delta(system, params, t)
+    t, terms = _checked(system, params, t)
+    total = _kinetic(system, params, t, terms)
+    delta = _split_delta(system, params, t, terms)
     plus = 0.5 * total + delta
     minus = 0.5 * total - delta
     r_plus = plus / total
@@ -125,7 +120,7 @@ def half_energies(system, params, t):
 
 def fractions_series(system, params, times):
     """half_energies evaluated over a sequence of times."""
-    return tuple(half_energies(system, params, float(t)) for t in times)
+    return tuple(half_energies(system, params, t) for t in times)
 
 
 def fraction_limits(system, params):

@@ -3,7 +3,7 @@
 A scenario is a JSON object with ``"version": 1``.  Two shapes exist:
 
 * ``{"version": 1, "preset": "fig2-middle"}`` -- a reference to one of
-  the built-in presets below.
+  the built-in presets below, which are themselves full documents.
 * A full description::
 
       {
@@ -40,19 +40,23 @@ A sweep document is a full scenario plus a ``"sweep"`` key::
 
       "sweep": {"axis": "p0", "values": [0.1, 0.2, 0.4]}
 
-loaded with load_sweep; Sweep.scenarios() expands it into one scenario
-per value.
+loaded with load_sweep.  Each sweep point is the document with the axis
+field replaced (axis "t" replaces "times" with [value]; "p0" drops
+"p0_over_dp0"; "alpha" and "beta" drop the other width keys), built like
+any other document, so relative units resolve against each point's own
+parameters.  Sweep.scenarios() returns one scenario per value.
 """
 
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ScenarioError, UnknownPresetError
 from .kedensity import extremal_p0
 from .quantities import (
     PacketParams,
+    PhysicalConstants,
     SystemKind,
     SystemSpec,
     free_particle,
@@ -128,45 +132,29 @@ class Sweep:
     base: Scenario
     axis: str
     values: tuple
+    points: tuple
 
     def scenarios(self):
-        out = []
-        for i, value in enumerate(self.values):
-            out.append(_apply_axis(self.base, self.axis, value, i))
-        return tuple(out)
+        return self.points
 
 
-def _apply_axis(base, axis, value, index):
-    name = f"{base.name}-{axis}-{index:03d}"
-    params = base.params
-    system = base.system
-    hbar = params.hbar
-    mass = params.mass
+# Keys a sweep point drops from the base document besides the axis itself.
+_AXIS_DROPS = {
+    "p0": ("p0_over_dp0",),
+    "alpha": ("beta", "beta_over_beta0"),
+    "beta": ("alpha", "beta_over_beta0"),
+}
+
+
+def _sweep_point(doc, name, axis, value):
+    """The document of one sweep point: doc with the axis field replaced."""
+    point = {k: v for k, v in doc.items() if k not in _AXIS_DROPS.get(axis, ())}
+    point["name"] = name
     if axis == "t":
-        return replace(base, name=name, times=(float(value),))
-    if axis == "p0":
-        params = make_params(hbar, mass, params.alpha, params.x0, float(value))
-    elif axis == "alpha":
-        params = make_params(hbar, mass, float(value), params.x0, params.p0)
-    elif axis == "beta":
-        params = make_params(hbar, mass, float(value) / hbar, params.x0, params.p0)
-    elif axis == "force":
-        if system.kind is not SystemKind.UNIFORM_ACCELERATION:
-            raise ScenarioError("sweep axis 'force' requires an accel system", "sweep")
-        system = uniform_acceleration(float(value))
-    elif axis == "omega":
-        if system.kind is not SystemKind.HARMONIC:
-            raise ScenarioError("sweep axis 'omega' requires an sho system", "sweep")
-        system = harmonic_oscillator(float(value))
-    elif axis == "omega_tilde":
-        if system.kind is not SystemKind.INVERTED:
-            raise ScenarioError(
-                "sweep axis 'omega_tilde' requires an inverted system", "sweep"
-            )
-        system = inverted_oscillator(float(value))
+        point["times"] = [value]
     else:
-        raise ScenarioError(f"unknown sweep axis {axis!r}", "sweep")
-    return replace(base, name=name, params=params, system=system)
+        point[axis] = value
+    return point
 
 
 def _fail(field, message):
@@ -218,18 +206,22 @@ def _check_keys(doc, allowed, lax, context="document"):
         )
 
 
-def _build_scenario(doc, lax):
+def _full_document(doc, lax):
+    """doc with its version checked and a preset reference expanded."""
     version = doc.get("version")
     if version != FORMAT_VERSION:
         _fail("version", f"expected {FORMAT_VERSION}, got {version!r}")
+    if "preset" not in doc:
+        return doc
+    _check_keys(doc, {"version", "preset"}, lax)
+    name = doc["preset"]
+    if not isinstance(name, str):
+        _fail("preset", "expected a preset name string")
+    return _preset_document(name)
 
-    if "preset" in doc:
-        _check_keys(doc, {"version", "preset"}, lax)
-        name = doc["preset"]
-        if not isinstance(name, str):
-            _fail("preset", "expected a preset name string")
-        return preset(name)
 
+def _build_scenario(doc, lax):
+    doc = _full_document(doc, lax)
     _check_keys(doc, _KNOWN_KEYS - {"preset"}, lax)
 
     name = doc.get("name")
@@ -301,8 +293,6 @@ def _build_params(doc, kind, system):
             _fail("beta_over_beta0", "requires an oscillator system")
         ratio = _as_number("beta_over_beta0", doc["beta_over_beta0"])
         omega = system.omega if kind is SystemKind.HARMONIC else system.omega_tilde
-        from .quantities import PhysicalConstants
-
         beta0 = oscillator_derived(PhysicalConstants(hbar, mass), omega).beta0
         alpha = ratio * beta0 / hbar
     if alpha <= 0:
@@ -426,11 +416,14 @@ def load_sweep(source, lax=False):
     if not (isinstance(values, list) and values):
         raise ScenarioError("field 'sweep': 'values' must be a non-empty list", "sweep")
     values = tuple(_as_number("sweep", v) for v in values)
-    base_doc = {k: v for k, v in doc.items() if k != "sweep"}
+    base_doc = _full_document({k: v for k, v in doc.items() if k != "sweep"}, lax)
     base = _build_scenario(base_doc, lax)
-    for value in values:
-        _apply_axis(base, axis, value, 0)  # validate axis/value combinations early
-    return Sweep(base=base, axis=axis, values=values)
+    points = tuple(
+        _build_scenario(
+            _sweep_point(base_doc, f"{base.name}-{axis}-{i:03d}", axis, value), lax)
+        for i, value in enumerate(values)
+    )
+    return Sweep(base=base, axis=axis, values=values, points=points)
 
 
 def serialize_scenario(scenario):
@@ -454,60 +447,46 @@ def serialize_scenario(scenario):
     return dumps_stable(doc)
 
 
-def _preset_fig1():
-    params = make_params(alpha=1.0, p0=math.sqrt(2.0))
-    return Scenario(
-        name="fig1", system=free_particle(), params=params,
-        times=(0.0, 0.5, 1.0, 2.0, 4.0),
-        window=AbsoluteWindow(-12.0, 24.0),
-        outputs=frozenset({"psi"}), grid_n=512,
-    )
-
-
-def _preset_fig2(label, p0_over_dp0):
-    base = make_params(alpha=1.0)
-    params = make_params(alpha=1.0, p0=p0_over_dp0 * base.dp0)
-    return Scenario(
-        name=f"fig2-{label}", system=free_particle(), params=params,
-        times=(10.0 * params.t0,),
-        window=RelativeWindow(halfwidth=6.0),
-        outputs=frozenset({"psi", "prob", "scaled"}), grid_n=512,
-    )
-
-
-def _preset_oscillator(name, beta_over_beta0):
-    system = harmonic_oscillator(1.0)
-    derived = oscillator_derived(make_params().constants, 1.0)
-    beta = beta_over_beta0 * derived.beta0
-    base = make_params(alpha=beta)  # hbar = 1, so alpha = beta
-    params = make_params(alpha=beta, p0=extremal_p0(system, base))
-    tau = derived.tau
-    return Scenario(
-        name=name, system=system, params=params,
-        times=(0.0, tau / 16.0, tau / 8.0, 3.0 * tau / 16.0, tau / 4.0),
-        window=RelativeWindow(halfwidth=6.0),
-        outputs=frozenset({"psi", "prob", "scaled"}), grid_n=512,
-    )
-
-
-_PRESET_BUILDERS = {
-    "fig1": _preset_fig1,
-    "fig2-top": lambda: _preset_fig2("top", 0.0),
-    "fig2-middle": lambda: _preset_fig2("middle", 1.0),
-    "fig2-bottom": lambda: _preset_fig2("bottom", 4.0),
-    "fig3": lambda: _preset_oscillator("fig3", 0.5),
-    "fig4": lambda: _preset_oscillator("fig4", 2.0),
+_FIG2 = {
+    "system": "free", "alpha": 1.0, "times": {"unit": "t0", "values": [10.0]},
+    "window": {"unit": "dx_t", "halfwidth": 6.0},
+    "outputs": ["psi", "prob", "scaled"],
+}
+_OSCILLATOR = {
+    "system": "sho", "omega": 1.0, "p0": "extremal",
+    "times": {"unit": "tau", "values": [0.0, 1 / 16, 1 / 8, 3 / 16, 1 / 4]},
+    "window": {"unit": "dx_t", "halfwidth": 6.0},
+    "outputs": ["psi", "prob", "scaled"],
+}
+# The figure set-ups of the paper as scenario documents without their
+# version and name: Fig. 1 free evolution, Fig. 2 at p0 = 0, 1 and 4 dp0,
+# Figs. 3-4 the oscillator at beta0/2 and 2*beta0.
+_PRESETS = {
+    "fig1": {
+        "system": "free", "alpha": 1.0, "p0": math.sqrt(2.0),
+        "times": [0.0, 0.5, 1.0, 2.0, 4.0], "window": [-12.0, 24.0],
+        "outputs": ["psi"],
+    },
+    "fig2-top": {**_FIG2, "p0_over_dp0": 0.0},
+    "fig2-middle": {**_FIG2, "p0_over_dp0": 1.0},
+    "fig2-bottom": {**_FIG2, "p0_over_dp0": 4.0},
+    "fig3": {**_OSCILLATOR, "beta_over_beta0": 0.5},
+    "fig4": {**_OSCILLATOR, "beta_over_beta0": 2.0},
 }
 
-PRESET_NAMES = tuple(sorted(_PRESET_BUILDERS))
+PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
-def preset(name):
-    """Return the named built-in scenario; see PRESET_NAMES."""
+def _preset_document(name):
     try:
-        builder = _PRESET_BUILDERS[name]
+        doc = _PRESETS[name]
     except KeyError:
         raise UnknownPresetError(
             f"unknown preset {name!r}; valid names: {', '.join(PRESET_NAMES)}"
         ) from None
-    return builder()
+    return {"version": FORMAT_VERSION, "name": name, **doc}
+
+
+def preset(name):
+    """Return the named built-in scenario; see PRESET_NAMES."""
+    return _build_scenario(_preset_document(name), lax=False)

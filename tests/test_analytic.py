@@ -193,29 +193,38 @@ def test_force_zero_matches_free_bitwise():
 
 
 def test_oscillators_reject_offset_start():
-    params = g.make_params(alpha=1.0, x0=0.5)
-    with pytest.raises(g.ParameterError):
-        g.state_at(g.harmonic_oscillator(1.0), params, 0.1)
-    with pytest.raises(g.ParameterError):
-        g.state_at(g.inverted_oscillator(1.0), params, 0.1)
+    params = g.make_params(alpha=1.0, x0=0.5, p0=1.0)
+    for system in (g.harmonic_oscillator(1.0), g.inverted_oscillator(1.0)):
+        for fn in (g.state_at, g.moments_at, g.total_kinetic, g.half_energies):
+            with pytest.raises(g.ParameterError):
+                fn(system, params, 0.1)
 
 
-@pytest.mark.parametrize("t", [1, np.int64(1), np.float32(0.5), np.float64(0.5)])
+@pytest.mark.parametrize("t", [1, np.int64(1), np.float32(0.5), np.float64(0.5),
+                               np.float32(0.1)])
 def test_time_accepts_any_real_as_float(four_cases, t):
     for system, params, _ in four_cases:
         state = g.state_at(system, params, t)
         assert type(state.t) is float
         assert state == g.state_at(system, params, float(t))
         assert g.moments_at(system, params, t) == g.moments_at(system, params, float(t))
+        total = g.total_kinetic(system, params, t)
+        assert type(total) is float
+        assert total == g.total_kinetic(system, params, float(t))
+        split = g.half_energies(system, params, t)
+        assert type(split.t) is float and type(split.total) is float
+        assert split == g.half_energies(system, params, float(t))
+        assert g.fractions_series(system, params, [t]) == (split,)
 
 
 @pytest.mark.parametrize("t", [True, np.bool_(False), "1", 1j, math.nan, -math.inf])
 def test_time_rejects_bool_and_non_reals(t):
     system, params = g.free_particle(), g.make_params()
+    for fn in (g.state_at, g.moments_at, g.total_kinetic, g.half_energies):
+        with pytest.raises(g.ParameterError):
+            fn(system, params, t)
     with pytest.raises(g.ParameterError):
-        g.state_at(system, params, t)
-    with pytest.raises(g.ParameterError):
-        g.moments_at(system, params, t)
+        g.fractions_series(system, params, [0.5, t])
 
 
 def test_inverted_time_guard():
@@ -302,6 +311,21 @@ def test_sample_grid_accepts_any_integer_n(n):
 def test_sample_grid_rejects_bool_and_non_integer_n(n):
     with pytest.raises(g.ParameterError):
         g.sample_grid(g.free_particle(), g.make_params(), 1.0, (-8.0, 8.0), n)
+
+
+@pytest.mark.parametrize("window", [
+    ("-1", "1"), (False, True), (-1.0, "1"), (-math.inf, 1.0), (-1.0, math.nan),
+    (1.0, 1.0),
+])
+def test_sample_grid_rejects_bad_window(window):
+    with pytest.raises(g.ParameterError):
+        g.sample_grid(g.free_particle(), g.make_params(), 1.0, window, 64)
+
+
+def test_sample_grid_accepts_any_real_window():
+    free, params = g.free_particle(), g.make_params(p0=0.5)
+    grid = g.sample_grid(free, params, 1.0, (np.float32(-8.0), np.int64(8)), 64)
+    assert np.all(grid.xs == g.sample_grid(free, params, 1.0, (-8.0, 8.0), 64).xs)
 
 
 def test_scalar_and_array_evaluation_agree(four_cases):

@@ -210,8 +210,9 @@ INLINE_SCENARIOS = {
 
 # sha256 of every file each command writes, recorded before table emission
 # moved to whole-array formatting (the inline scenarios: before the harmonic
-# and inverted oscillators shared one constructor); the bytes must never
-# change.
+# and inverted oscillators shared one constructor; the figure SVGs and the
+# fig3 figure tables: before presets became documents and the SVG was drawn
+# from figure_tables); the bytes must never change.
 OUTPUT_DIGESTS = {
     ("evolve", "--preset", "fig1"): {
         "out_000.csv": "e8128c3742523856f14b66feb4accb7e26ec679b4eaded04ddd6dd64ec8ed9fd",
@@ -250,12 +251,34 @@ OUTPUT_DIGESTS = {
     ("evolve", "--scenario", "inverted-pin", "--combined"): {
         "out.csv": "d8d2fd41550a1f5814485544641eb55f30113b4505b85ef3e01535555593aaaf",
     },
+    ("figure", "--preset", "fig1"): {
+        "out.svg": "1f1b139a285750dc28e32c46c7f1cfc60d1ae3d3fc91f220f82762563b4fe076",
+    },
+    ("figure", "--preset", "fig3"): {
+        "out.svg": "bcafa02cfe743b7e23c960ad0c5e4d52fd75dc0e7d2552bf8c242b398ed4aeb4",
+    },
+    ("figure", "--preset", "fig3", "--format", "csv"): {
+        "out_000.csv": "2d4f7f72d795aa80ceae95d15cd5fe05bba1165db1498f7733208303b841dfbe",
+        "out_001.csv": "e8d6a6cce5bea58bc34bbe33a2011b29ec17bdadb4cb059d3212e409f15ad2c2",
+        "out_002.csv": "8c45a3cf8c87508e075101e7cc3d20f7eb6982a01d14aa9b8ce40ddbd8e9bd96",
+        "out_003.csv": "f4bdb283a36ac4ee3e8a46b28d5462e7ee39a5a12106b829a4b6755e2b137d36",
+        "out_004.csv": "d1829efb1a04b628fc8ce28dbb5f3570c2aca35a21438c6d6f061c126f947de4",
+    },
+    ("figure", "--scenario", "accel-pin"): {
+        "out.svg": "f7280d108ecc9c01fa3dba5a3e3aa9d325e9ca86645b96e493b2746a359e189f",
+    },
+    ("figure", "--scenario", "inverted-pin"): {
+        "out.svg": "371097bed856b2225be4f88db41f3af8110ab69f00255d1996b080a5fc708c30",
+    },
 }
 
 
 @pytest.mark.parametrize("args", OUTPUT_DIGESTS, ids=" ".join)
 def test_table_output_digests(args, tmp_path):
-    suffix = ".json" if "json" in args else ".csv"
+    if "--format" in args:
+        suffix = "." + args[args.index("--format") + 1]
+    else:
+        suffix = ".svg" if args[0] == "figure" else ".csv"
     argv = [INLINE_SCENARIOS.get(a, a) for a in args]
     assert cli.main([*argv, "--out", str(tmp_path / f"out{suffix}")]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

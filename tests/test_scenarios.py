@@ -65,21 +65,37 @@ def test_preset_reference_document():
     assert scenario == g.preset("fig2-middle")
 
 
-def test_full_document_matches_fig3():
-    doc = {
-        "version": 1,
-        "name": "fig3",
-        "system": "sho",
-        "omega": 1.0,
-        "beta_over_beta0": 0.5,
-        "p0": "extremal",
-        "times": {"unit": "tau", "values": [0.0, 1 / 16, 1 / 8, 3 / 16, 1 / 4]},
-        "window": {"unit": "dx_t", "halfwidth": 6.0},
-        "outputs": ["psi", "prob", "scaled"],
-        "grid_n": 512,
-    }
+_FIG2_DOC = {
+    "system": "free", "alpha": 1.0,
+    "times": {"unit": "t0", "values": [10.0]},
+    "window": {"unit": "dx_t", "halfwidth": 6.0},
+    "outputs": ["psi", "prob", "scaled"], "grid_n": 512,
+}
+_OSCILLATOR_DOC = {
+    "system": "sho", "omega": 1.0, "p0": "extremal",
+    "times": {"unit": "tau", "values": [0.0, 1 / 16, 1 / 8, 3 / 16, 1 / 4]},
+    "window": {"unit": "dx_t", "halfwidth": 6.0},
+    "outputs": ["psi", "prob", "scaled"], "grid_n": 512,
+}
+PRESET_DOCUMENTS = {
+    "fig1": {
+        "system": "free", "alpha": 1.0, "p0": 1.4142135623730951,
+        "times": [0.0, 0.5, 1.0, 2.0, 4.0], "window": [-12.0, 24.0],
+        "outputs": ["psi"], "grid_n": 512,
+    },
+    "fig2-top": {**_FIG2_DOC, "p0_over_dp0": 0.0},
+    "fig2-middle": {**_FIG2_DOC, "p0_over_dp0": 1.0},
+    "fig2-bottom": {**_FIG2_DOC, "p0_over_dp0": 4.0},
+    "fig3": {**_OSCILLATOR_DOC, "beta_over_beta0": 0.5},
+    "fig4": {**_OSCILLATOR_DOC, "beta_over_beta0": 2.0},
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_full_document_matches_preset(name):
+    doc = {"version": 1, "name": name, **PRESET_DOCUMENTS[name]}
     scenario = g.load_scenario(json.dumps(doc))
-    assert scenario == g.preset("fig3")
+    assert scenario == g.preset(name)
 
 
 def test_relative_momentum_and_time_units():
@@ -223,3 +239,56 @@ def test_sweep_time_axis():
     assert [s.times for s in scenarios] == [(0.25,), (0.5,)]
     # base fields carry over
     assert all(s.system.omega == 2.0 for s in scenarios)
+
+
+def _replaced(doc, **changes):
+    """doc with `changes` applied and the sweep removed, as JSON text."""
+    out = {k: v for k, v in doc.items() if k != "sweep"}
+    out.update(changes)
+    return json.dumps(out)
+
+
+@pytest.mark.parametrize("doc", [
+    {
+        "version": 1, "name": "osc", "system": "sho", "omega": 1.0,
+        "beta_over_beta0": 0.5, "p0": "extremal",
+        "times": {"unit": "tau", "values": [0.125]},
+        "window": {"unit": "dx_t", "halfwidth": 6.0},
+        "sweep": {"axis": "omega", "values": [0.5, 2.0]},
+    },
+    {
+        "version": 1, "name": "free", "system": "free", "alpha": 1.0,
+        "p0_over_dp0": 1.0, "times": {"unit": "t0", "values": [2.5]},
+        "sweep": {"axis": "alpha", "values": [0.5, 2.0]},
+    },
+], ids=["omega", "alpha"])
+def test_sweep_points_resolve_relative_units_per_point(doc):
+    """A sweep point equals its base document with the axis field replaced."""
+    axis = doc["sweep"]["axis"]
+    points = g.load_sweep(json.dumps(doc)).scenarios()
+    for i, (value, point) in enumerate(zip(doc["sweep"]["values"], points)):
+        name = f"{doc['name']}-{axis}-{i:03d}"
+        assert point == g.load_scenario(_replaced(doc, name=name, **{axis: value}))
+
+
+@pytest.mark.parametrize("axis, value, base", [
+    ("omega", -1.0, {"system": "sho", "omega": 1.0}),
+    ("alpha", 0.0, {"system": "free"}),
+])
+def test_sweep_value_errors_name_the_field(axis, value, base):
+    doc = {"version": 1, "name": "bad", "times": [0.5], **base,
+           "sweep": {"axis": axis, "values": [1.0, value]}}
+    with pytest.raises(g.ScenarioError) as info:
+        g.load_sweep(json.dumps(doc))
+    assert info.value.field == axis
+
+
+def test_sweep_over_preset_reference():
+    doc = {"version": 1, "preset": "fig3",
+           "sweep": {"axis": "beta", "values": [0.25, 1.0]}}
+    sweep = g.load_sweep(json.dumps(doc))
+    assert sweep.base == g.preset("fig3")
+    first, second = sweep.scenarios()
+    assert first.name == "fig3-beta-000" and second.name == "fig3-beta-001"
+    assert first.params.beta == 0.25 and second.params.beta == 1.0
+    assert first.times == second.times == sweep.base.times
