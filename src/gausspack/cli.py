@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from ._textio import dumps_stable, render_csv
-from .analytic import sample_grid
 from .errors import (
     AccuracyError,
     BoundaryError,
@@ -146,18 +145,6 @@ def _scenario_doc(scenario):
     return json.loads(serialize_scenario(scenario))
 
 
-def _evolve_tables(scenario):
-    tables = []
-    for t in scenario.times:
-        window = scenario.window.resolve(scenario.system, scenario.params, t)
-        grid = sample_grid(
-            scenario.system, scenario.params, t, window, scenario.grid_n)
-        rows = np.column_stack(
-            (grid.xs, grid.psi.real, grid.psi.imag, np.abs(grid.psi), grid.prob))
-        tables.append((t, list(_EVOLVE_COLUMNS), rows))
-    return tables
-
-
 def _write_tables(tables, scenario, args, command):
     """Shared CSV/JSON emission for the evolve and figure data tables."""
     if args.format == "json":
@@ -188,7 +175,8 @@ def _write_tables(tables, scenario, args, command):
 
 def cmd_evolve(args):
     scenario = _load(args)
-    return _write_tables(_evolve_tables(scenario), scenario, args, "evolve")
+    tables = figure_tables(scenario, list(_EVOLVE_COLUMNS))
+    return _write_tables(tables, scenario, args, "evolve")
 
 
 def cmd_fractions(args):
@@ -215,7 +203,6 @@ def cmd_figure(args):
     if args.format == "svg":
         _emit(render_figure(scenario), args.out)
         return EXIT_OK
-    args.combined = False
     return _write_tables(figure_tables(scenario), scenario, args, "figure")
 
 

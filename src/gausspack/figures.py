@@ -24,7 +24,7 @@ import numpy as np
 from ._textio import format_rows
 from .analytic import sample_grid, state_at
 from .errors import ParameterError
-from .kedensity import kinetic_density, scaled_density
+from .kedensity import _positive_total, kinetic_density
 from .quantities import SystemKind
 
 __all__ = ["render_figure", "figure_tables", "figure_columns"]
@@ -59,24 +59,27 @@ def figure_columns(scenario):
     return columns
 
 
-def figure_tables(scenario):
+def figure_tables(scenario, columns=None):
     """One (t, columns, rows) table per scenario time, matching the plots.
 
-    rows is a 2-D float64 array with one row per grid point and one
-    column per name in columns.
+    columns is figure_columns(scenario) (the default) or a prefix of it;
+    evolve takes the first five.  rows is a 2-D float64 array with one
+    row per grid point and one column per name in columns.
     """
-    columns = figure_columns(scenario)
+    if columns is None:
+        columns = figure_columns(scenario)
+    system, params = scenario.system, scenario.params
     tables = []
     for t in scenario.times:
-        window = scenario.window.resolve(scenario.system, scenario.params, t)
-        grid = sample_grid(
-            scenario.system, scenario.params, t, window, scenario.grid_n
-        )
+        window = scenario.window.resolve(system, params, t)
+        grid = sample_grid(system, params, t, window, scenario.grid_n)
         cols = [grid.xs, grid.psi.real, grid.psi.imag, np.abs(grid.psi), grid.prob]
-        if "kedensity" in scenario.outputs:
-            cols.append(kinetic_density(scenario.system, scenario.params, grid.xs, t))
-        if "scaled" in scenario.outputs:
-            cols.append(scaled_density(scenario.system, scenario.params, grid.xs, t))
+        if "kedensity" in columns or "scaled" in columns:
+            density = kinetic_density(system, params, grid.xs, t)
+            if "kedensity" in columns:
+                cols.append(density)
+            if "scaled" in columns:
+                cols.append(density / _positive_total(system, params, t))
         tables.append((t, columns, np.column_stack(cols)))
     return tables
 

@@ -184,11 +184,17 @@ def extremal_p0(system, params):
     )
 
 
-def scaled_density(system, params, x, t):
-    """Kinetic energy density normalized by its integral, S = T(x,t)/T(t)."""
+def _positive_total(system, params, t):
+    """T(t), the normalization of S = T(x,t)/T(t), which must be positive."""
     total = total_kinetic(system, params, t)
     if not (total > 0.0):
         raise ParameterError("total kinetic energy is not positive")
+    return total
+
+
+def scaled_density(system, params, x, t):
+    """Kinetic energy density normalized by its integral, S = T(x,t)/T(t)."""
+    total = _positive_total(system, params, t)
     return kinetic_density(system, params, x, t) / total
 
 

@@ -32,7 +32,14 @@ from scipy.integrate import quad
 
 from .analytic import moments_at
 from .errors import AccuracyError, BoundaryError, ParameterError, ResolutionError
-from .quantities import PhysicalConstants, SystemKind, SystemSpec
+from .quantities import (
+    PhysicalConstants,
+    SystemKind,
+    SystemSpec,
+    _require_finite,
+    _require_positive,
+    _store_checked,
+)
 
 __all__ = [
     "QuadratureSpec",
@@ -60,8 +67,9 @@ class QuadratureSpec:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ParameterError("quadrature tolerances must be positive")
+        _store_checked(self, "rel_tol", _require_positive)
+        _store_checked(self, "abs_tol", _require_positive)
+        _store_checked(self, "window_sigmas", _require_finite)
         if not (self.window_sigmas >= 6.0):
             raise ParameterError("window_sigmas must be at least 6")
         if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 10):
@@ -80,8 +88,9 @@ def integrate(f: Callable[[float], float], window, spec=QuadratureSpec()):
     Raises AccuracyError (with the best estimate attached) when the
     subdivision budget is exhausted before the tolerances are met.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    lo = _require_finite("window lo", window[0])
+    hi = _require_finite("window hi", window[1])
+    if not lo < hi:
         raise ParameterError(f"integration window must satisfy lo < hi, got {window!r}")
     out = quad(
         f, lo, hi,
@@ -113,8 +122,7 @@ def half_windows(system, params, t, spec=QuadratureSpec()):
 
 def fd_derivative(psi, x, t, h=1e-3):
     """Fourth-order central difference of psi(x, t) in x."""
-    if not (h > 0):
-        raise ParameterError("h must be positive")
+    h = _require_positive("h", h)
     return (
         -psi(x + 2.0 * h, t)
         + 8.0 * psi(x + h, t)
@@ -125,8 +133,7 @@ def fd_derivative(psi, x, t, h=1e-3):
 
 def fd_second_derivative(psi, x, t, h=1e-3):
     """Fourth-order central difference of the second x-derivative."""
-    if not (h > 0):
-        raise ParameterError("h must be positive")
+    h = _require_positive("h", h)
     return (
         -psi(x + 2.0 * h, t)
         + 16.0 * psi(x + h, t)
@@ -202,10 +209,12 @@ class PropagatorSpec:
 
     def __post_init__(self):
         lo, hi = self.domain
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        lo = _require_finite("domain lo", lo)
+        hi = _require_finite("domain hi", hi)
+        if not lo < hi:
             raise ParameterError(f"domain must satisfy lo < hi, got {self.domain!r}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ParameterError("dt must be a positive finite number")
+        object.__setattr__(self, "domain", (lo, hi))
+        _store_checked(self, "dt", _require_positive)
         n = self.n_grid
         if not (isinstance(n, int) and n >= 16 and (n & (n - 1)) == 0):
             raise ParameterError("n_grid must be a power of two, at least 16")
@@ -246,7 +255,8 @@ def propagate(psi0, spec, t_final):
         raise ParameterError(
             f"psi0 must have shape ({spec.n_grid},), got {psi.shape}"
         )
-    if not (t_final >= 0 and math.isfinite(t_final)):
+    t_final = _require_finite("t_final", t_final)
+    if not t_final >= 0:
         raise ParameterError("t_final must be a finite non-negative number")
     if t_final == 0.0:
         return psi

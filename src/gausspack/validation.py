@@ -17,9 +17,13 @@ systems:
 
 plus two ``reduction-*`` checks confirming that the oscillator and the
 uniformly accelerated packet reduce to the free packet pointwise as
-omega -> 0 and force -> 0.
+omega -> 0 and force -> 0 (omega = force = 1e-6, alpha = 1, p0 = 1.2,
+t = 1).
 
-For value comparisons the relative error is abs_err/|analytic|; for
+Every check has one shape: ``_check_<family>(system, params, t)``
+returns ``(analytic, oracle, tol)``.  `run_checks` is the one place that
+names a check, computes its errors and builds its CheckResult.  For
+value comparisons the relative error is abs_err/|analytic|; for
 distance-style checks (split-step, reduction) the analytic target is
 zero and the "relative" error is the distance itself.  A check passes
 when its relative error is at or below its tolerance; `run_checks`
@@ -34,10 +38,8 @@ import numpy as np
 
 from .analytic import eval_psi, moments_at, state_at
 from .kedensity import half_energies, kinetic_density, total_kinetic
-from .errors import ParameterError
 from .oracle import (
     PropagatorSpec,
-    QuadratureSpec,
     fd_second_derivative,
     half_windows,
     integrate,
@@ -46,6 +48,7 @@ from .oracle import (
 )
 from .quantities import (
     SystemKind,
+    _require_positive,
     free_particle,
     harmonic_oscillator,
     inverted_oscillator,
@@ -54,8 +57,6 @@ from .quantities import (
 )
 
 __all__ = ["CheckResult", "run_checks", "report"]
-
-_IBP_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -71,23 +72,6 @@ class CheckResult:
     rel_err: float
     tol: float
     passed: bool
-
-
-def _result(name, system, params, analytic, oracle, tol, rel_tol=None):
-    abs_err = abs(oracle - analytic)
-    rel_err = abs_err / abs(analytic) if analytic != 0.0 else abs_err
-    used_tol = tol if rel_tol is None else rel_tol
-    return CheckResult(
-        name=name,
-        system=system.kind.value,
-        params=params,
-        analytic=float(analytic),
-        oracle=float(oracle),
-        abs_err=float(abs_err),
-        rel_err=float(rel_err),
-        tol=float(used_tol),
-        passed=bool(rel_err <= used_tol),
-    )
 
 
 def _params_dict(system, params, t):
@@ -120,132 +104,88 @@ def _cases():
     )
 
 
-# Split-step configuration per system: (domain, dt, n_grid, t_final).
-# Free propagation is exact for any dt (V = 0); the others use steps
-# small enough that the O(dt^2) error sits well below the tolerance.
+def _reduction_cases():
+    params = make_params(alpha=1.0, p0=1.2)
+    return (
+        (harmonic_oscillator(1e-6), params, 1.0),
+        (uniform_acceleration(1e-6), params, 1.0),
+    )
+
+
+# Split-step configuration per system: (domain, dt), on the default
+# 4096-point grid.  Free propagation is exact for any dt (V = 0); the
+# others use steps small enough that the O(dt^2) error sits well below
+# the tolerance.
 _SPLITSTEP = {
-    SystemKind.FREE: ((-40.0, 40.0), 0.05, 4096, 1.5),
-    SystemKind.UNIFORM_ACCELERATION: ((-40.0, 40.0), 1e-3, 4096, 1.2),
-    SystemKind.HARMONIC: ((-24.0, 24.0), 2e-4, 4096, 0.9),
-    SystemKind.INVERTED: ((-48.0, 48.0), 2e-4, 4096, 1.1),
+    SystemKind.FREE: ((-40.0, 40.0), 0.05),
+    SystemKind.UNIFORM_ACCELERATION: ((-40.0, 40.0), 1e-3),
+    SystemKind.HARMONIC: ((-24.0, 24.0), 2e-4),
+    SystemKind.INVERTED: ((-48.0, 48.0), 2e-4),
 }
 
 
-def _check_normalization(system, params, t, rel_tol):
-    spec = QuadratureSpec()
-    window = packet_window(system, params, t, spec)
+def _check_normalization(system, params, t):
+    window = packet_window(system, params, t)
     state = state_at(system, params, t)
-    value = integrate(lambda x: state.prob(x), window, spec)
-    return _result(
-        f"normalization-{system.kind.value}", system,
-        _params_dict(system, params, t), 1.0, value.value, 1e-9, rel_tol,
-    )
+    return 1.0, integrate(state.prob, window).value, 1e-9
 
 
-def _check_ibp(system, params, t, rel_tol):
-    spec = QuadratureSpec()
-    window = packet_window(system, params, t, spec)
+def _check_ibp(system, params, t):
+    window = packet_window(system, params, t)
     state = state_at(system, params, t)
     scale = params.hbar**2 / (2.0 * params.mass)
 
-    def psi(x, when):
-        return state.psi(x)
-
     def integrand(x):
-        value = -scale * np.conj(state.psi(x)) * fd_second_derivative(
-            psi, x, t, _IBP_STEP
-        )
-        return value.real
+        d2psi = fd_second_derivative(lambda y, _: state.psi(y), x, t)
+        return (-scale * np.conj(state.psi(x)) * d2psi).real
 
-    oracle_value = integrate(integrand, window, spec)
-    analytic = total_kinetic(system, params, t)
-    return _result(
-        f"ibp-{system.kind.value}", system,
-        _params_dict(system, params, t), analytic, oracle_value.value,
-        1e-8, rel_tol,
-    )
+    oracle = integrate(integrand, window).value
+    return total_kinetic(system, params, t), oracle, 1e-8
 
 
-def _check_halves(system, params, t, rel_tol):
-    spec = QuadratureSpec()
-    _, upper = half_windows(system, params, t, spec)
-    value = integrate(
-        lambda x: kinetic_density(system, params, x, t), upper, spec
-    )
-    analytic = half_energies(system, params, t).plus
-    return _result(
-        f"halves-{system.kind.value}", system,
-        _params_dict(system, params, t), analytic, value.value, 1e-8, rel_tol,
-    )
+def _check_halves(system, params, t):
+    _, upper = half_windows(system, params, t)
+    oracle = integrate(lambda x: kinetic_density(system, params, x, t), upper).value
+    return half_energies(system, params, t).plus, oracle, 1e-8
 
 
-def _check_splitstep(system, params, rel_tol):
-    domain, dt, n_grid, t = _SPLITSTEP[system.kind]
+def _check_splitstep(system, params, t):
+    domain, dt = _SPLITSTEP[system.kind]
     spec = PropagatorSpec(
-        system=system, constants=params.constants, domain=domain,
-        dt=dt, n_grid=n_grid,
+        system=system, constants=params.constants, domain=domain, dt=dt,
     )
     xs = spec.grid()
-    psi0 = eval_psi(system, params, xs, 0.0)
-    numeric = propagate(psi0, spec, t)
+    numeric = propagate(eval_psi(system, params, xs, 0.0), spec, t)
     exact = eval_psi(system, params, xs, t)
     dx = xs[1] - xs[0]
     distance = math.sqrt(float(np.sum(np.abs(numeric - exact) ** 2) * dx))
-    return _result(
-        f"splitstep-{system.kind.value}", system,
-        _params_dict(system, params, t), 0.0, distance, 1e-6, rel_tol,
-    )
+    return 0.0, distance, 1e-6
 
 
-def _check_reduction(kind, rel_tol):
-    t = 1.0
-    params = make_params(alpha=1.0, p0=1.2)
+def _check_reduction(system, params, t):
     free = free_particle()
-    if kind is SystemKind.HARMONIC:
-        system = harmonic_oscillator(1e-6)
-    else:
-        system = uniform_acceleration(1e-6)
     m = moments_at(free, params, t)
     sigma = math.sqrt(m.var_x)
     xs = np.linspace(m.mean_x - 6.0 * sigma, m.mean_x + 6.0 * sigma, 801)
     diff = np.abs(
         eval_psi(system, params, xs, t) - eval_psi(free, params, xs, t)
     )
-    return _result(
-        f"reduction-{system.kind.value}", system,
-        _params_dict(system, params, t), 0.0, float(np.max(diff)),
-        1e-5, rel_tol,
-    )
+    return 0.0, float(np.max(diff)), 1e-5
 
 
 def _suite():
-    checks = []
-    for system, params, t in _cases():
-        checks.append((
-            f"normalization-{system.kind.value}",
-            lambda s=system, p=params, u=t, r=None: _check_normalization(s, p, u, r),
-        ))
-    for system, params, t in _cases():
-        checks.append((
-            f"ibp-{system.kind.value}",
-            lambda s=system, p=params, u=t, r=None: _check_ibp(s, p, u, r),
-        ))
-    for system, params, t in _cases():
-        checks.append((
-            f"halves-{system.kind.value}",
-            lambda s=system, p=params, u=t, r=None: _check_halves(s, p, u, r),
-        ))
-    for system, params, _ in _cases():
-        checks.append((
-            f"splitstep-{system.kind.value}",
-            lambda s=system, p=params, r=None: _check_splitstep(s, p, r),
-        ))
-    checks.append(("reduction-sho",
-                   lambda r=None: _check_reduction(SystemKind.HARMONIC, r)))
-    checks.append(("reduction-accel",
-                   lambda r=None: _check_reduction(
-                       SystemKind.UNIFORM_ACCELERATION, r)))
-    return checks
+    """(name, check, case) per check in report order, built on each call
+    so that a wrapper put on a _check_* function sees every run."""
+    families = (
+        ("normalization", _check_normalization, _cases()),
+        ("ibp", _check_ibp, _cases()),
+        ("halves", _check_halves, _cases()),
+        ("splitstep", _check_splitstep, _cases()),
+        ("reduction", _check_reduction, _reduction_cases()),
+    )
+    for family, check, cases in families:
+        for case in cases:
+            yield f"{family}-{case[0].kind.value}", check, case
 
 
 def run_checks(name_filter=None, rel_tol=None):
@@ -262,13 +202,27 @@ def run_checks(name_filter=None, rel_tol=None):
     -------
     list of CheckResult
     """
-    if rel_tol is not None and not rel_tol > 0.0:
-        raise ParameterError("tolerance override must be positive")
+    if rel_tol is not None:
+        rel_tol = _require_positive("tolerance override", rel_tol)
     results = []
-    for name, thunk in _suite():
+    for name, check, (system, params, t) in _suite():
         if name_filter is not None and name_filter not in name:
             continue
-        results.append(thunk(r=rel_tol))
+        analytic, oracle, tol = check(system, params, t)
+        abs_err = abs(oracle - analytic)
+        rel_err = abs_err / abs(analytic) if analytic != 0.0 else abs_err
+        tol = tol if rel_tol is None else rel_tol
+        results.append(CheckResult(
+            name=name,
+            system=system.kind.value,
+            params=_params_dict(system, params, t),
+            analytic=float(analytic),
+            oracle=float(oracle),
+            abs_err=float(abs_err),
+            rel_err=float(rel_err),
+            tol=float(tol),
+            passed=bool(rel_err <= tol),
+        ))
     return results
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gausspack as g
-from gausspack import cli
+from gausspack import cli, figures
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -192,7 +192,8 @@ def test_out_of_range_time_is_reported(run_cli):
 # Inline scenarios for the two families the presets leave out: a uniformly
 # accelerated packet and an inverted oscillator, both with hbar, mass != 1.
 # The inverted times reach |omega_tilde*t| > 30, where the hyperbolic
-# functions switch to their exponent-extracted form.
+# functions switch to their exponent-extracted form.  The oscillator
+# scenario asks for both density outputs, kedensity and scaled.
 INLINE_SCENARIOS = {
     "accel-pin": json.dumps({
         "version": 1, "name": "accel-pin", "system": "accel", "force": -0.7,
@@ -206,13 +207,21 @@ INLINE_SCENARIOS = {
         "times": [-3.1, 0.0, 0.7, 2.0, 24.5, 26.0, 90.0, 230.0],
         "window": {"unit": "dx_t", "halfwidth": 6.0}, "grid_n": 48,
     }),
+    "sho-density-pin": json.dumps({
+        "version": 1, "name": "sho-density-pin", "system": "sho", "omega": 1.4,
+        "hbar": 0.8, "mass": 1.3, "alpha": 1.1, "p0": 0.9,
+        "times": [-0.6, 0.0, 1.9, 7.3],
+        "outputs": ["psi", "prob", "kedensity", "scaled"],
+        "window": {"unit": "dx_t", "halfwidth": 6.0}, "grid_n": 48,
+    }),
 }
 
 # sha256 of every file each command writes, recorded before table emission
 # moved to whole-array formatting (the inline scenarios: before the harmonic
 # and inverted oscillators shared one constructor; the figure SVGs and the
 # fig3 figure tables: before presets became documents and the SVG was drawn
-# from figure_tables); the bytes must never change.
+# from figure_tables; sho-density-pin: before figure_tables computed the
+# kinetic density once for kedensity and scaled); the bytes must never change.
 OUTPUT_DIGESTS = {
     ("evolve", "--preset", "fig1"): {
         "out_000.csv": "e8128c3742523856f14b66feb4accb7e26ec679b4eaded04ddd6dd64ec8ed9fd",
@@ -270,6 +279,15 @@ OUTPUT_DIGESTS = {
     ("figure", "--scenario", "inverted-pin"): {
         "out.svg": "371097bed856b2225be4f88db41f3af8110ab69f00255d1996b080a5fc708c30",
     },
+    ("figure", "--scenario", "sho-density-pin", "--format", "csv"): {
+        "out_000.csv": "0084bc3e6eb28bfee57730f862253566bd755936f1aaaf7e370c07cfb425d078",
+        "out_001.csv": "e6133213386f943b8416e07a23644c067579042a128291c2de6c887774ff6cff",
+        "out_002.csv": "69c0e7f162297fbca0e6c3ecbfde9f5aebdf0c6192de66c36c7efeae8e4d2d28",
+        "out_003.csv": "c2cb813d1e081c14e26aba2392b2d50f3a4a4b5676068bdc34e05c355f85801f",
+    },
+    ("evolve", "--scenario", "sho-density-pin", "--combined"): {
+        "out.csv": "c47266c30ccd37a911d1251cb9c0ed971c59397cf58749d79efd9e456993b3bd",
+    },
 }
 
 
@@ -295,7 +313,7 @@ def test_non_finite_table_value_is_a_numerical_error(fmt, monkeypatch, capsys,
         prob[len(prob) // 2] = np.nan
         return dataclasses.replace(grid, prob=prob)
 
-    monkeypatch.setattr(cli, "sample_grid", grid_with_nan)
+    monkeypatch.setattr(figures, "sample_grid", grid_with_nan)
     target = tmp_path / f"psi.{fmt}"
     code = cli.main(["evolve", "--preset", "fig2-middle", "--format", fmt,
                      "--out", str(target)])

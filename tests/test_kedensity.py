@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import gausspack as g
+from gausspack import figures, kedensity
 
 from conftest import FOUR_CASES
 
@@ -240,3 +242,34 @@ def test_fractions_series_matches_pointwise():
     for s in series:
         direct = g.half_energies(free, params, s.t)
         assert s == direct
+
+
+_DENSITY_SCENARIO = json.dumps({
+    "version": 1, "name": "density-once", "system": "sho", "omega": 1.4,
+    "alpha": 1.1, "p0": 0.9, "times": [0.0, 1.9],
+    "outputs": ["psi", "prob", "kedensity", "scaled"], "grid_n": 32,
+})
+
+
+def test_figure_tables_evaluates_the_density_once_per_time(monkeypatch):
+    calls = []
+    original = kedensity.kinetic_density
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(kedensity, "kinetic_density", counted)
+    monkeypatch.setattr(figures, "kinetic_density", counted)
+    tables = figures.figure_tables(g.load_scenario(_DENSITY_SCENARIO))
+    assert [columns[-2:] for _, columns, _ in tables] == [["kedensity", "scaled"]] * 2
+    assert calls == [0.0, 1.9]
+
+
+def test_non_positive_total_is_refused_by_scaled_and_figure_tables(monkeypatch):
+    system, params = g.harmonic_oscillator(1.4), g.make_params(alpha=1.1, p0=0.9)
+    monkeypatch.setattr(kedensity, "total_kinetic", lambda *args: 0.0)
+    with pytest.raises(g.ParameterError, match="not positive"):
+        g.scaled_density(system, params, 0.0, 1.0)
+    with pytest.raises(g.ParameterError, match="not positive"):
+        figures.figure_tables(g.load_scenario(_DENSITY_SCENARIO))

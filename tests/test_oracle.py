@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,3 +257,63 @@ def test_propagate_validates_inputs():
         g.propagate(psi0[:-1], spec, 0.1)
     with pytest.raises(g.ParameterError):
         g.propagate(psi0, spec, -0.5)
+
+
+# Numbers that are not finite reals: strings, bools and infinities are
+# refused at every oracle entry point, as everywhere else in the package.
+_NOT_FINITE_REALS = ("1", True, False, math.inf, math.nan, None)
+
+
+@pytest.mark.parametrize("window", [
+    ("0", "1"), (False, True), (0.0, math.inf), (-math.inf, 1.0), (0.0, "1"),
+])
+def test_integrate_rejects_bad_window(window):
+    with pytest.raises(g.ParameterError):
+        g.integrate(lambda x: 1.0, window)
+
+
+def test_integrate_accepts_any_real_window():
+    value = g.integrate(lambda x: 1.0, (np.float32(0.0), np.int64(1)))
+    assert value.value == 1.0
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE_REALS)
+@pytest.mark.parametrize("field", ["domain_lo", "domain_hi", "dt"])
+def test_propagator_spec_rejects_non_reals(field, bad):
+    fields = {"domain_lo": -8.0, "domain_hi": 8.0, "dt": 0.01}
+    fields[field] = bad
+    with pytest.raises(g.ParameterError):
+        g.PropagatorSpec(system=g.free_particle(), constants=g.PhysicalConstants(),
+                         domain=(fields["domain_lo"], fields["domain_hi"]),
+                         dt=fields["dt"])
+
+
+def test_propagator_spec_stores_floats():
+    spec = g.PropagatorSpec(system=g.free_particle(), constants=g.PhysicalConstants(),
+                            domain=(np.int64(-8), np.float32(8.0)), dt=Fraction(1, 64))
+    assert spec.domain == (-8.0, 8.0) and spec.dt == 1 / 64
+    assert all(type(v) is float for v in (*spec.domain, spec.dt))
+
+
+@pytest.mark.parametrize("t_final", _NOT_FINITE_REALS)
+def test_propagate_rejects_non_real_time(t_final):
+    params = g.make_params()
+    spec = g.PropagatorSpec(system=g.free_particle(), constants=params.constants,
+                            domain=(-10.0, 10.0), dt=0.01, n_grid=64)
+    psi0 = g.eval_psi(g.free_particle(), params, spec.grid(), 0.0)
+    with pytest.raises(g.ParameterError):
+        g.propagate(psi0, spec, t_final)
+
+
+@pytest.mark.parametrize("h", _NOT_FINITE_REALS)
+@pytest.mark.parametrize("fd", [g.fd_derivative, g.fd_second_derivative])
+def test_fd_rejects_non_real_step(fd, h):
+    with pytest.raises(g.ParameterError):
+        fd(lambda x, t: x * x, 0.0, 0.0, h)
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE_REALS)
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "window_sigmas"])
+def test_quadrature_spec_rejects_non_reals(field, bad):
+    with pytest.raises(g.ParameterError):
+        g.QuadratureSpec(**{field: bad})

@@ -2,9 +2,44 @@ import pytest
 
 import gausspack as g
 
+_FREE = {"hbar": 1.0, "mass": 1.0, "alpha": 1.0, "x0": 0.3, "p0": 1.2, "t": 1.5}
+_ACCEL = {"hbar": 1.0, "mass": 1.0, "alpha": 0.8, "x0": 0.0, "p0": -0.6, "t": 1.2,
+          "force": 0.8}
+_SHO = {"hbar": 1.0, "mass": 1.0, "alpha": 0.7, "x0": 0.0, "p0": 1.1, "t": 0.9,
+        "omega": 1.3}
+_INVERTED = {"hbar": 1.0, "mass": 1.0, "alpha": 0.9, "x0": 0.0, "p0": 0.7, "t": 1.1,
+             "omega_tilde": 0.8}
+_CASES = (("free", _FREE), ("accel", _ACCEL), ("sho", _SHO), ("inverted", _INVERTED))
 
-def test_default_suite_passes():
-    results = g.run_checks()
+# (name, system, params, tol) of every check in report order; the oracle
+# values are left out, since quadrature and FFT bits may vary by machine.
+SUITE = [
+    (f"{family}-{system}", system, params, tol)
+    for family, tol in (("normalization", 1e-9), ("ibp", 1e-8), ("halves", 1e-8),
+                        ("splitstep", 1e-6))
+    for system, params in _CASES
+] + [
+    ("reduction-sho", "sho", {"hbar": 1.0, "mass": 1.0, "alpha": 1.0, "x0": 0.0,
+                              "p0": 1.2, "t": 1.0, "omega": 1e-6}, 1e-5),
+    ("reduction-accel", "accel", {"hbar": 1.0, "mass": 1.0, "alpha": 1.0, "x0": 0.0,
+                                  "p0": 1.2, "t": 1.0, "force": 1e-6}, 1e-5),
+]
+
+
+@pytest.fixture(scope="module")
+def suite():
+    return g.run_checks()
+
+
+def test_suite_runs_every_check_in_order(suite):
+    got = [(r.name, r.system, r.params, r.tol) for r in suite]
+    assert got == SUITE
+    for r, (_, _, params, _) in zip(suite, SUITE):
+        assert list(r.params) == list(params)
+
+
+def test_default_suite_passes(suite):
+    results = suite
     assert len(results) == 18
     assert all(r.passed for r in results)
     kinds = {r.name.split("-")[0] for r in results}
@@ -33,6 +68,12 @@ def test_tightened_tolerance_fails_controlled():
     assert all(r.tol == 1e-30 for r in results)
     with pytest.raises(g.ParameterError):
         g.run_checks(rel_tol=0.0)
+
+
+@pytest.mark.parametrize("rel_tol", [True, "1e-3", float("inf"), float("nan"), -1.0])
+def test_tolerance_override_must_be_a_finite_positive_real(rel_tol):
+    with pytest.raises(g.ParameterError):
+        g.run_checks(name_filter="no-such-check", rel_tol=rel_tol)
 
 
 def test_report_shape():
