@@ -64,7 +64,6 @@ from .oracle import (
     fd_second_derivative,
     half_windows,
     integrate,
-    inverse_momentum_transform,
     momentum_transform,
     packet_window,
     potential_on_grid,
@@ -75,9 +74,7 @@ from .scenarios import (
     AbsoluteWindow,
     RelativeWindow,
     Scenario,
-    Sweep,
     load_scenario,
-    load_sweep,
     preset,
     serialize_scenario,
 )
@@ -109,7 +106,6 @@ __all__ = [
     "ResolutionError",
     "Scenario",
     "ScenarioError",
-    "Sweep",
     "SystemKind",
     "SystemSpec",
     "TimeRangeError",
@@ -128,11 +124,9 @@ __all__ = [
     "half_windows",
     "harmonic_oscillator",
     "integrate",
-    "inverse_momentum_transform",
     "inverted_oscillator",
     "kinetic_density",
     "load_scenario",
-    "load_sweep",
     "make_params",
     "momentum_transform",
     "moments_at",

@@ -5,12 +5,14 @@ Every number the CLI writes is rendered with 17 significant digits
 float64 arrays: after one np.isfinite check over the whole block, rows
 are rendered a bounded chunk at a time by a single %-format of a
 repeated row template, which gives the same bytes as fmt_float applied
-value by value.  Anything else (mixed-type CSV rows, scalars and nested
-containers in JSON) goes through fmt_float and csv.writer one value at
-a time.  The JSON writer emits keys in insertion order with no
-whitespace, so identical inputs always produce identical bytes; the
-standard library encoder is not used because it offers no control over
-float formatting.
+value by value.  Scalars and nested containers in JSON go through
+fmt_float one value at a time, and so do mixed-type CSV rows, whose one
+caller is the validate report: its params cell is JSON text with commas
+and quotes, which needs the RFC 4180 quoting of csv.writer that the
+float-block path cannot give.  The JSON writer emits keys in insertion
+order with no whitespace, so identical inputs always produce identical
+bytes; the standard library encoder is not used because it offers no
+control over float formatting.
 """
 
 import csv

@@ -31,13 +31,12 @@ Numerical care taken here:
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, TimeRangeError
-from .quantities import SystemKind, _require_finite
+from .quantities import SystemKind, _as_int, _require_finite, _require_window
 
 __all__ = [
     "PacketState",
@@ -335,15 +334,13 @@ def sample_grid(system, params, t, window, n):
 
     window is an (xmin, xmax) pair with xmin < xmax; n >= 2.
     """
-    xmin = _require_finite("xmin", window[0])
-    xmax = _require_finite("xmax", window[1])
-    if not xmin < xmax:
-        raise ParameterError(f"window must satisfy xmin < xmax, got {window!r}")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+    xmin, xmax = _require_window("window", window)
+    count = _as_int(n)
+    if count is None or count < 2:
         raise ParameterError(f"n must be an integer >= 2, got {n!r}")
 
     state = state_at(system, params, t)
-    xs = np.linspace(xmin, xmax, int(n))
+    xs = np.linspace(xmin, xmax, count)
     psi = state.psi(xs)
     prob = np.abs(psi) ** 2
     return GridResult(t=t, xs=xs, psi=psi, prob=prob)

@@ -208,6 +208,10 @@ def cmd_figure(args):
 
 def cmd_validate(args):
     results = run_checks(name_filter=args.filter, rel_tol=args.rel_tol)
+    if not results:
+        print(f"gausspack: error: --filter {args.filter!r} matches no check",
+              file=sys.stderr)
+        return EXIT_USAGE
     doc = {"version": 1, "command": "validate"}
     doc.update(report(results))
     if args.format == "json":

@@ -36,8 +36,10 @@ from .quantities import (
     PhysicalConstants,
     SystemKind,
     SystemSpec,
+    _as_int,
     _require_finite,
     _require_positive,
+    _require_window,
     _store_checked,
 )
 
@@ -51,7 +53,6 @@ __all__ = [
     "fd_derivative",
     "fd_second_derivative",
     "momentum_transform",
-    "inverse_momentum_transform",
     "potential_on_grid",
     "propagate",
 ]
@@ -72,8 +73,10 @@ class QuadratureSpec:
         _store_checked(self, "window_sigmas", _require_finite)
         if not (self.window_sigmas >= 6.0):
             raise ParameterError("window_sigmas must be at least 6")
-        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 10):
+        count = _as_int(self.max_subdivisions)
+        if count is None or count < 10:
             raise ParameterError("max_subdivisions must be an integer >= 10")
+        object.__setattr__(self, "max_subdivisions", count)
 
 
 class IntegralResult(NamedTuple):
@@ -88,10 +91,7 @@ def integrate(f: Callable[[float], float], window, spec=QuadratureSpec()):
     Raises AccuracyError (with the best estimate attached) when the
     subdivision budget is exhausted before the tolerances are met.
     """
-    lo = _require_finite("window lo", window[0])
-    hi = _require_finite("window hi", window[1])
-    if not lo < hi:
-        raise ParameterError(f"integration window must satisfy lo < hi, got {window!r}")
+    lo, hi = _require_window("window", window)
     out = quad(
         f, lo, hi,
         epsabs=spec.abs_tol, epsrel=spec.rel_tol,
@@ -146,13 +146,6 @@ def fd_second_derivative(psi, x, t, h=1e-3):
 _ALIAS_RATIO = 1e-12
 
 
-def _uniform_spacing(xs):
-    dx = xs[1] - xs[0]
-    if not np.allclose(np.diff(xs), dx, rtol=1e-12, atol=0.0):
-        raise ParameterError("grid must be uniformly spaced")
-    return dx
-
-
 def momentum_transform(xs, psi, hbar=1.0, check_aliasing=True):
     """Momentum amplitude phi(p) = (2*pi*hbar)**-0.5 * Int exp(-i p x/hbar) psi dx.
 
@@ -165,7 +158,9 @@ def momentum_transform(xs, psi, hbar=1.0, check_aliasing=True):
     psi = np.asarray(psi, dtype=complex)
     if xs.ndim != 1 or xs.size < 4 or psi.shape != xs.shape:
         raise ParameterError("xs and psi must be matching 1-d arrays")
-    dx = _uniform_spacing(xs)
+    dx = xs[1] - xs[0]
+    if not np.allclose(np.diff(xs), dx, rtol=1e-12, atol=0.0):
+        raise ParameterError("grid must be uniformly spaced")
     n = xs.size
     ps = np.fft.fftshift(2.0 * math.pi * hbar * np.fft.fftfreq(n, d=dx))
     raw = np.fft.fft(psi)
@@ -182,21 +177,6 @@ def momentum_transform(xs, psi, hbar=1.0, check_aliasing=True):
     return ps, phi
 
 
-def inverse_momentum_transform(ps, phi, xs, hbar=1.0):
-    """Inverse of momentum_transform back onto the original grid xs."""
-    ps = np.asarray(ps, dtype=float)
-    phi = np.asarray(phi, dtype=complex)
-    xs = np.asarray(xs, dtype=float)
-    if ps.shape != phi.shape or ps.ndim != 1 or xs.size != ps.size:
-        raise ParameterError("ps, phi, xs must be matching 1-d arrays")
-    dx = _uniform_spacing(xs)
-    n = xs.size
-    dp = ps[1] - ps[0]
-    shifted = np.fft.ifftshift(phi * np.exp(1j * ps * xs[0] / hbar))
-    psi = (dp * n / math.sqrt(2.0 * math.pi * hbar)) * np.fft.ifft(shifted)
-    return psi
-
-
 @dataclass(frozen=True)
 class PropagatorSpec:
     """Grid, step and potential selection for split-step propagation."""
@@ -208,16 +188,12 @@ class PropagatorSpec:
     n_grid: int = 4096
 
     def __post_init__(self):
-        lo, hi = self.domain
-        lo = _require_finite("domain lo", lo)
-        hi = _require_finite("domain hi", hi)
-        if not lo < hi:
-            raise ParameterError(f"domain must satisfy lo < hi, got {self.domain!r}")
-        object.__setattr__(self, "domain", (lo, hi))
+        object.__setattr__(self, "domain", _require_window("domain", self.domain))
         _store_checked(self, "dt", _require_positive)
-        n = self.n_grid
-        if not (isinstance(n, int) and n >= 16 and (n & (n - 1)) == 0):
+        n = _as_int(self.n_grid)
+        if n is None or n < 16 or n & (n - 1):
             raise ParameterError("n_grid must be a power of two, at least 16")
+        object.__setattr__(self, "n_grid", n)
 
     def grid(self):
         """Periodic spatial grid (endpoint excluded)."""

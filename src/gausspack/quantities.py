@@ -55,6 +55,17 @@ def _as_float(value):
     return float(value)
 
 
+def _as_int(value):
+    """value as an int if it is an integer other than a bool, else None.
+
+    The integer counterpart of _as_float, behind every count and grid
+    size: np.int64 is accepted, and True, 64.0 and "64" never are.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        return None
+    return int(value)
+
+
 def _require_finite(name, value):
     number = _as_float(value)
     if number is None or not math.isfinite(number):
@@ -67,6 +78,19 @@ def _require_positive(name, value):
     if number is None or not (math.isfinite(number) and number > 0):
         raise ParameterError(f"{name} must be a finite positive number, got {value!r}")
     return number
+
+
+def _require_window(name, pair):
+    """pair as a finite (lo, hi) tuple of floats with lo < hi."""
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a (lo, hi) pair, got {pair!r}") from None
+    lo = _require_finite(f"{name} lo", lo)
+    hi = _require_finite(f"{name} hi", hi)
+    if not lo < hi:
+        raise ParameterError(f"{name} must satisfy lo < hi, got {pair!r}")
+    return lo, hi
 
 
 def _store_checked(obj, name, check):

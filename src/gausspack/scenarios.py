@@ -35,16 +35,6 @@ Relative units (times in t0 or tau, windows in units of the
 instantaneous position spread, beta in units of the oscillator ground
 width, p0 in units of the momentum spread or the asymmetry-extremal
 value) are resolved at load time against the scenario's own parameters.
-
-A sweep document is a full scenario plus a ``"sweep"`` key::
-
-      "sweep": {"axis": "p0", "values": [0.1, 0.2, 0.4]}
-
-loaded with load_sweep.  Each sweep point is the document with the axis
-field replaced (axis "t" replaces "times" with [value]; "p0" drops
-"p0_over_dp0"; "alpha" and "beta" drop the other width keys), built like
-any other document, so relative units resolve against each point's own
-parameters.  Sweep.scenarios() returns one scenario per value.
 """
 
 import json
@@ -66,6 +56,7 @@ from .quantities import (
     oscillator_derived,
     uniform_acceleration,
     _as_float,
+    _as_int,
 )
 
 __all__ = [
@@ -75,16 +66,13 @@ __all__ = [
     "AbsoluteWindow",
     "RelativeWindow",
     "Scenario",
-    "Sweep",
     "load_scenario",
-    "load_sweep",
     "preset",
     "serialize_scenario",
 ]
 
 FORMAT_VERSION = 1
 OUTPUT_NAMES = ("psi", "prob", "kedensity", "scaled", "fractions")
-SWEEP_AXES = ("p0", "alpha", "beta", "omega", "force", "omega_tilde", "t")
 
 _SYSTEM_PARAM_FIELD = {
     SystemKind.UNIFORM_ACCELERATION: "force",
@@ -127,36 +115,6 @@ class Scenario:
     grid_n: int
 
 
-@dataclass(frozen=True)
-class Sweep:
-    base: Scenario
-    axis: str
-    values: tuple
-    points: tuple
-
-    def scenarios(self):
-        return self.points
-
-
-# Keys a sweep point drops from the base document besides the axis itself.
-_AXIS_DROPS = {
-    "p0": ("p0_over_dp0",),
-    "alpha": ("beta", "beta_over_beta0"),
-    "beta": ("alpha", "beta_over_beta0"),
-}
-
-
-def _sweep_point(doc, name, axis, value):
-    """The document of one sweep point: doc with the axis field replaced."""
-    point = {k: v for k, v in doc.items() if k not in _AXIS_DROPS.get(axis, ())}
-    point["name"] = name
-    if axis == "t":
-        point["times"] = [value]
-    else:
-        point[axis] = value
-    return point
-
-
 def _fail(field, message):
     raise ScenarioError(f"field {field!r}: {message}", field)
 
@@ -192,9 +150,9 @@ def _parse_document(source):
 
 
 _KNOWN_KEYS = {
-    "version", "preset", "name", "system", "force", "omega", "omega_tilde",
+    "version", "name", "system", "force", "omega", "omega_tilde",
     "hbar", "mass", "x0", "alpha", "beta", "beta_over_beta0",
-    "p0", "p0_over_dp0", "times", "window", "outputs", "grid_n", "sweep",
+    "p0", "p0_over_dp0", "times", "window", "outputs", "grid_n",
 }
 
 
@@ -206,23 +164,16 @@ def _check_keys(doc, allowed, lax, context="document"):
         )
 
 
-def _full_document(doc, lax):
-    """doc with its version checked and a preset reference expanded."""
+def _build_scenario(doc, lax):
     version = doc.get("version")
     if version != FORMAT_VERSION:
         _fail("version", f"expected {FORMAT_VERSION}, got {version!r}")
-    if "preset" not in doc:
-        return doc
-    _check_keys(doc, {"version", "preset"}, lax)
-    name = doc["preset"]
-    if not isinstance(name, str):
-        _fail("preset", "expected a preset name string")
-    return _preset_document(name)
-
-
-def _build_scenario(doc, lax):
-    doc = _full_document(doc, lax)
-    _check_keys(doc, _KNOWN_KEYS - {"preset"}, lax)
+    if "preset" in doc:
+        _check_keys(doc, {"version", "preset"}, lax)
+        if not isinstance(doc["preset"], str):
+            _fail("preset", "expected a preset name string")
+        doc = _preset_document(doc["preset"])
+    _check_keys(doc, _KNOWN_KEYS, lax)
 
     name = doc.get("name")
     if not isinstance(name, str) or not name:
@@ -239,9 +190,9 @@ def _build_scenario(doc, lax):
     times = _build_times(doc, kind, system, params, lax)
     window = _build_window(doc, lax)
     outputs = _build_outputs(doc)
-    grid_n = doc.get("grid_n", 512)
-    if isinstance(grid_n, bool) or not isinstance(grid_n, int) or grid_n < 16:
-        _fail("grid_n", f"expected an integer >= 16, got {grid_n!r}")
+    grid_n = _as_int(doc.get("grid_n", 512))
+    if grid_n is None or grid_n < 16:
+        _fail("grid_n", f"expected an integer >= 16, got {doc['grid_n']!r}")
 
     return Scenario(
         name=name, system=system, params=params, times=times,
@@ -346,8 +297,8 @@ def _build_times(doc, kind, system, params, lax=False):
                 _fail("times", "'linspace' must be [lo, hi, n]")
             lo = _as_number("times", lin[0])
             hi = _as_number("times", lin[1])
-            n = lin[2]
-            if isinstance(n, bool) or not isinstance(n, int) or n < 2 or hi <= lo:
+            n = _as_int(lin[2])
+            if n is None or n < 2 or hi <= lo:
                 _fail("times", "'linspace' must be [lo, hi, n>=2] with lo < hi")
             step = (hi - lo) / (n - 1)
             raw = [lo + i * step for i in range(n)]
@@ -391,39 +342,7 @@ def _build_outputs(doc):
 
 def load_scenario(source, lax=False):
     """Parse a scenario from a JSON string or a path to a JSON file."""
-    doc = _parse_document(source)
-    if "sweep" in doc:
-        raise ScenarioError(
-            "this document declares a sweep; load it with load_sweep", "sweep"
-        )
-    return _build_scenario(doc, lax)
-
-
-def load_sweep(source, lax=False):
-    """Parse a sweep document: a scenario plus a 'sweep' axis/values object."""
-    doc = _parse_document(source)
-    raw = doc.get("sweep")
-    if not isinstance(raw, dict):
-        raise ScenarioError("a 'sweep' object is required", "sweep")
-    _check_keys(raw, {"axis", "values"}, lax, context="'sweep'")
-    axis = raw.get("axis")
-    if axis not in SWEEP_AXES:
-        raise ScenarioError(
-            f"field 'sweep': axis must be one of {list(SWEEP_AXES)}, got {axis!r}",
-            "sweep",
-        )
-    values = raw.get("values")
-    if not (isinstance(values, list) and values):
-        raise ScenarioError("field 'sweep': 'values' must be a non-empty list", "sweep")
-    values = tuple(_as_number("sweep", v) for v in values)
-    base_doc = _full_document({k: v for k, v in doc.items() if k != "sweep"}, lax)
-    base = _build_scenario(base_doc, lax)
-    points = tuple(
-        _build_scenario(
-            _sweep_point(base_doc, f"{base.name}-{axis}-{i:03d}", axis, value), lax)
-        for i, value in enumerate(values)
-    )
-    return Sweep(base=base, axis=axis, values=values, points=points)
+    return _build_scenario(_parse_document(source), lax)
 
 
 def serialize_scenario(scenario):

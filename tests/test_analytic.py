@@ -315,7 +315,7 @@ def test_sample_grid_rejects_bool_and_non_integer_n(n):
 
 @pytest.mark.parametrize("window", [
     ("-1", "1"), (False, True), (-1.0, "1"), (-math.inf, 1.0), (-1.0, math.nan),
-    (1.0, 1.0),
+    (1.0, 1.0), 5, (-1.0, 0.0, 1.0),
 ])
 def test_sample_grid_rejects_bad_window(window):
     with pytest.raises(g.ParameterError):

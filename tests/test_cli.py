@@ -162,6 +162,12 @@ def test_validate_filter(run_cli):
     assert all("sho" in c["name"] for c in doc["checks"])
 
 
+def test_validate_filter_matching_nothing_is_usage_error(run_cli):
+    code, out, err = run_cli("validate", "--filter", "nothing")
+    assert code == 64 and out == ""
+    assert err == "gausspack: error: --filter 'nothing' matches no check\n"
+
+
 def test_validate_unreachable_tolerance_fails(run_cli):
     code, out, _ = run_cli("validate", "--rel-tol", "1e-30", "--format", "json")
     assert code == 1

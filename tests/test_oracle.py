@@ -97,16 +97,6 @@ def test_momentum_transform_gaussian_pair():
     assert np.max(np.abs(phi - exact)) < 1e-9  # phase convention too
 
 
-def test_momentum_round_trip():
-    params = g.make_params(alpha=0.7, x0=0.4, p0=-1.1)
-    free = g.free_particle()
-    xs = np.linspace(-30.0, 30.0, 2048, endpoint=False)
-    psi = g.eval_psi(free, params, xs, 0.6)
-    ps, phi = g.momentum_transform(xs, psi)
-    back = g.inverse_momentum_transform(ps, phi, xs)
-    assert np.max(np.abs(back - psi)) < 1e-10
-
-
 def test_momentum_shift_phase_property():
     free = g.free_particle()
     xs = np.linspace(-40.0, 40.0, 4096, endpoint=False)
@@ -266,10 +256,15 @@ _NOT_FINITE_REALS = ("1", True, False, math.inf, math.nan, None)
 
 @pytest.mark.parametrize("window", [
     ("0", "1"), (False, True), (0.0, math.inf), (-math.inf, 1.0), (0.0, "1"),
+    5, (0.0, 1.0, 2.0),
 ])
 def test_integrate_rejects_bad_window(window):
+    """integrate's window and PropagatorSpec's domain pass one (lo, hi) gate."""
     with pytest.raises(g.ParameterError):
         g.integrate(lambda x: 1.0, window)
+    with pytest.raises(g.ParameterError):
+        g.PropagatorSpec(system=g.free_particle(), constants=g.PhysicalConstants(),
+                         domain=window, dt=0.01)
 
 
 def test_integrate_accepts_any_real_window():
@@ -290,9 +285,11 @@ def test_propagator_spec_rejects_non_reals(field, bad):
 
 def test_propagator_spec_stores_floats():
     spec = g.PropagatorSpec(system=g.free_particle(), constants=g.PhysicalConstants(),
-                            domain=(np.int64(-8), np.float32(8.0)), dt=Fraction(1, 64))
+                            domain=(np.int64(-8), np.float32(8.0)), dt=Fraction(1, 64),
+                            n_grid=np.int64(64))
     assert spec.domain == (-8.0, 8.0) and spec.dt == 1 / 64
     assert all(type(v) is float for v in (*spec.domain, spec.dt))
+    assert type(spec.n_grid) is int and spec.grid().shape == (64,)
 
 
 @pytest.mark.parametrize("t_final", _NOT_FINITE_REALS)
@@ -310,6 +307,21 @@ def test_propagate_rejects_non_real_time(t_final):
 def test_fd_rejects_non_real_step(fd, h):
     with pytest.raises(g.ParameterError):
         fd(lambda x, t: x * x, 0.0, 0.0, h)
+
+
+@pytest.mark.parametrize("n", [True, 64.0, np.float64(64.0), "64"])
+def test_integer_fields_reject_bool_and_non_integers(n):
+    with pytest.raises(g.ParameterError):
+        g.QuadratureSpec(max_subdivisions=n)
+    with pytest.raises(g.ParameterError):
+        g.PropagatorSpec(system=g.free_particle(), constants=g.PhysicalConstants(),
+                         domain=(-8.0, 8.0), dt=0.01, n_grid=n)
+
+
+def test_quadrature_spec_accepts_numpy_integer():
+    spec = g.QuadratureSpec(max_subdivisions=np.int64(50))
+    assert type(spec.max_subdivisions) is int
+    assert spec == g.QuadratureSpec(max_subdivisions=50)
 
 
 @pytest.mark.parametrize("bad", _NOT_FINITE_REALS)
