@@ -24,6 +24,7 @@ from .errors import (
 )
 from .figures import figure_tables, render_figure
 from .kedensity import fractions_series
+from .quantities import _require_positive
 from .scenarios import PRESET_NAMES, load_scenario, preset, serialize_scenario
 from .validation import report, run_checks
 
@@ -52,12 +53,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_float(text):
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+        return _require_positive("value", float(text))
+    except ValueError:  # not a number, or ParameterError
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}"
+        ) from None
 
 
 def _add_source_options(sub):

@@ -30,9 +30,11 @@ import math
 
 import numpy as np
 
-from .analytic import _checked, _drift_force, _kinetic, state_at, total_kinetic
+from .analytic import (
+    _DRIFTING, _checked, _drift_force, _kinetic, state_at, total_kinetic,
+)
 from .errors import ParameterError
-from .quantities import SystemKind
+from .quantities import SystemKind, _require_finite
 
 __all__ = [
     "EnergySplit",
@@ -221,12 +223,8 @@ def asymmetry_amplitude(system, params, t):
     amplitude, which peaks exactly where |p0 + F*t| equals the momentum
     spread.
     """
-    kind = system.kind
-    if kind is SystemKind.FREE:
-        force = 0.0
-    elif kind is SystemKind.UNIFORM_ACCELERATION:
-        force = system.force
-    else:
+    t = _require_finite("t", t)
+    if system.kind not in _DRIFTING:
         raise ParameterError("asymmetry amplitude applies to drifting packets only")
-    s = params.alpha * (params.p0 + force * t)
+    s = params.alpha * (params.p0 + _drift_force(system) * t)
     return _TWO_OVER_SQRT_PI * abs(s) / (2.0 * s * s + 1.0)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .analytic import moments_at
 from .errors import AccuracyError, BoundaryError, ParameterError, ResolutionError
@@ -91,6 +90,10 @@ def integrate(f: Callable[[float], float], window, spec=QuadratureSpec()):
     Raises AccuracyError (with the best estimate attached) when the
     subdivision budget is exhausted before the tolerances are met.
     """
+    # Imported here: scipy.integrate takes longer to import than the rest
+    # of the package, and only quadrature needs it.
+    from scipy.integrate import quad
+
     lo, hi = _require_window("window", window)
     out = quad(
         f, lo, hi,

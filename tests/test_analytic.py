@@ -215,12 +215,18 @@ def test_time_accepts_any_real_as_float(four_cases, t):
         assert type(split.t) is float and type(split.total) is float
         assert split == g.half_energies(system, params, float(t))
         assert g.fractions_series(system, params, [t]) == (split,)
+        if system.kind in (g.SystemKind.FREE, g.SystemKind.UNIFORM_ACCELERATION):
+            amplitude = g.asymmetry_amplitude(system, params, t)
+            assert type(amplitude) is float
+            assert amplitude == g.asymmetry_amplitude(system, params, float(t))
 
 
-@pytest.mark.parametrize("t", [True, np.bool_(False), "1", 1j, math.nan, -math.inf])
+@pytest.mark.parametrize("t", [True, np.bool_(False), "1", 1j, math.nan, -math.inf,
+                               math.inf])
 def test_time_rejects_bool_and_non_reals(t):
     system, params = g.free_particle(), g.make_params()
-    for fn in (g.state_at, g.moments_at, g.total_kinetic, g.half_energies):
+    for fn in (g.state_at, g.moments_at, g.total_kinetic, g.half_energies,
+               g.asymmetry_amplitude):
         with pytest.raises(g.ParameterError):
             fn(system, params, t)
     with pytest.raises(g.ParameterError):

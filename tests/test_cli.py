@@ -175,6 +175,13 @@ def test_validate_unreachable_tolerance_fails(run_cli):
     assert doc["all_pass"] is False and doc["n_failed"] > 0
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e400", "abc"])
+def test_bad_tolerance_override_is_usage_error(tol, capsys):
+    assert cli.main(["validate", f"--rel-tol={tol}"]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --rel-tol:" in err and repr(tol) in err
+
+
 def test_validate_csv(run_cli):
     code, out, _ = run_cli("validate", "--filter", "normalization",
                            "--format", "csv")
