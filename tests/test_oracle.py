@@ -194,46 +194,87 @@ def test_propagate_matches_analytic_free():
 def test_propagate_conserves_norm():
     system = g.harmonic_oscillator(1.0)
     params = g.make_params(alpha=1.0, p0=1.0)
-    spec = g.PropagatorSpec(system=system, constants=params.constants,
-                            domain=(-16.0, 16.0), dt=1e-4, n_grid=256)
-    xs = spec.grid()
-    dx = xs[1] - xs[0]
-    psi0 = g.eval_psi(system, params, xs, 0.0)
-    psi = g.propagate(psi0, spec, 1.0)  # 10^4 steps
-    n0 = float(np.sum(np.abs(psi0) ** 2) * dx)
-    n1 = float(np.sum(np.abs(psi) ** 2) * dx)
-    assert abs(n1 - n0) < 1e-12
+    for order in (2, 4):
+        spec = g.PropagatorSpec(system=system, constants=params.constants,
+                                domain=(-16.0, 16.0), dt=1e-4, n_grid=256,
+                                order=order)
+        xs = spec.grid()
+        dx = xs[1] - xs[0]
+        psi0 = g.eval_psi(system, params, xs, 0.0)
+        psi = g.propagate(psi0, spec, 1.0)  # 10^4 steps
+        n0 = float(np.sum(np.abs(psi0) ** 2) * dx)
+        n1 = float(np.sum(np.abs(psi) ** 2) * dx)
+        assert abs(n1 - n0) < 1e-12
 
 
-def test_propagate_second_order_in_dt():
+def _sho_global_errors(order, step_counts):
+    """(dts, L2 errors) of propagating the sho packet to a quarter period."""
     system = g.harmonic_oscillator(1.0)
     params = g.make_params(alpha=1.0, p0=1.0)
     t_final = math.pi / 2.0
     errs, dts = [], []
-    for n_steps in (200, 400, 800, 1600):
+    for n_steps in step_counts:
         dt = t_final / n_steps
         spec = g.PropagatorSpec(system=system, constants=params.constants,
-                                domain=(-20.0, 20.0), dt=dt, n_grid=512)
+                                domain=(-20.0, 20.0), dt=dt, n_grid=512,
+                                order=order)
         xs = spec.grid()
         dx = xs[1] - xs[0]
         psi = g.propagate(g.eval_psi(system, params, xs, 0.0), spec, t_final)
         exact = g.eval_psi(system, params, xs, t_final)
         errs.append(math.sqrt(float(np.sum(np.abs(psi - exact) ** 2) * dx)))
         dts.append(dt)
+    return dts, errs
+
+
+def test_propagate_second_order_in_dt():
+    dts, errs = _sho_global_errors(2, (200, 400, 800, 1600))
     slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     assert abs(slope - 2.0) < 0.1
     # halving dt quarters the error
     assert abs(errs[0] / errs[1] - 4.0) < 0.2
 
 
+def test_propagate_fourth_order_in_dt():
+    # Step counts whose error (5e-6 down to 1e-9) stays well above rounding.
+    dts, errs = _sho_global_errors(4, (20, 40, 80, 160))
+    assert min(errs) > 1e-11
+    slope = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
+    assert abs(slope - 4.0) < 0.2
+
+
+def test_propagate_strang_matches_reference_loop():
+    """Order 2 matches, bit for bit, a plain np.fft Strang loop with
+    these operand orders (complex multiply is not bitwise commutative)."""
+    system = g.harmonic_oscillator(1.0)
+    params = g.make_params(alpha=1.0, p0=1.0)
+    spec = g.PropagatorSpec(system=system, constants=params.constants,
+                            domain=(-20.0, 20.0), dt=0.005, n_grid=512)
+    xs = spec.grid()
+    psi0 = g.eval_psi(system, params, xs, 0.0)
+    dt = 1.0 / 200
+    v = g.potential_on_grid(system, params.constants, xs)
+    half_v = np.exp(-0.5j * v * dt / params.hbar)
+    p = 2.0 * math.pi * params.hbar * np.fft.fftfreq(xs.size, d=xs[1] - xs[0])
+    kinetic_phase = np.exp(-0.5j * p * p * dt / (params.mass * params.hbar))
+    psi = psi0.copy()
+    for _ in range(200):
+        psi = psi * half_v
+        psi = np.fft.ifft(kinetic_phase * np.fft.fft(psi))
+        psi = psi * half_v
+    assert np.array_equal(g.propagate(psi0, spec, 1.0), psi)
+
+
 def test_propagate_detects_boundary_escape():
     params = g.make_params(alpha=1.0, p0=6.0)
     free = g.free_particle()
-    spec = g.PropagatorSpec(system=free, constants=params.constants,
-                            domain=(-8.0, 8.0), dt=0.01, n_grid=256)
-    xs = spec.grid()
-    with pytest.raises(g.BoundaryError):
-        g.propagate(g.eval_psi(free, params, xs, 0.0), spec, 2.0)
+    for order in (2, 4):
+        spec = g.PropagatorSpec(system=free, constants=params.constants,
+                                domain=(-8.0, 8.0), dt=0.01, n_grid=256,
+                                order=order)
+        xs = spec.grid()
+        with pytest.raises(g.BoundaryError):
+            g.propagate(g.eval_psi(free, params, xs, 0.0), spec, 2.0)
 
 
 def test_propagate_validates_inputs():
@@ -286,10 +327,11 @@ def test_propagator_spec_rejects_non_reals(field, bad):
 def test_propagator_spec_stores_floats():
     spec = g.PropagatorSpec(system=g.free_particle(), constants=g.PhysicalConstants(),
                             domain=(np.int64(-8), np.float32(8.0)), dt=Fraction(1, 64),
-                            n_grid=np.int64(64))
+                            n_grid=np.int64(64), order=np.int64(4))
     assert spec.domain == (-8.0, 8.0) and spec.dt == 1 / 64
     assert all(type(v) is float for v in (*spec.domain, spec.dt))
     assert type(spec.n_grid) is int and spec.grid().shape == (64,)
+    assert type(spec.order) is int and spec.order == 4
 
 
 @pytest.mark.parametrize("t_final", _NOT_FINITE_REALS)
@@ -309,13 +351,14 @@ def test_fd_rejects_non_real_step(fd, h):
         fd(lambda x, t: x * x, 0.0, 0.0, h)
 
 
-@pytest.mark.parametrize("n", [True, 64.0, np.float64(64.0), "64"])
+@pytest.mark.parametrize("n", [True, 64.0, np.float64(64.0), "64", 3, 4.0, "4"])
 def test_integer_fields_reject_bool_and_non_integers(n):
     with pytest.raises(g.ParameterError):
         g.QuadratureSpec(max_subdivisions=n)
-    with pytest.raises(g.ParameterError):
-        g.PropagatorSpec(system=g.free_particle(), constants=g.PhysicalConstants(),
-                         domain=(-8.0, 8.0), dt=0.01, n_grid=n)
+    for field in ("n_grid", "order"):
+        with pytest.raises(g.ParameterError):
+            g.PropagatorSpec(system=g.free_particle(), constants=g.PhysicalConstants(),
+                             domain=(-8.0, 8.0), dt=0.01, **{field: n})
 
 
 def test_quadrature_spec_accepts_numpy_integer():
