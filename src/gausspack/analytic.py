@@ -343,4 +343,4 @@ def sample_grid(system, params, t, window, n):
     xs = np.linspace(xmin, xmax, count)
     psi = state.psi(xs)
     prob = np.abs(psi) ** 2
-    return GridResult(t=t, xs=xs, psi=psi, prob=prob)
+    return GridResult(t=state.t, xs=xs, psi=psi, prob=prob)

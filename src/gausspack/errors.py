@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GausspackError",
+    "ParameterError",
+    "TimeRangeError",
+    "AccuracyError",
+    "ResolutionError",
+    "NonFiniteError",
+    "BoundaryError",
+    "ScenarioError",
+    "UnknownPresetError",
+]
+
 
 class GausspackError(Exception):
     """Base class for all errors raised by this package."""

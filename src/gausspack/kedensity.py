@@ -19,7 +19,7 @@ energies carried by the trailing and leading halves:
 The per-family expressions below (drifting: free and uniformly
 accelerated packets; oscillator: harmonic and inverted) are this
 identity specialized to each solution family.  T(t) itself is
-analytic.total_kinetic, re-exported here.  docs/energy_split.md records
+analytic.total_kinetic.  docs/energy_split.md records
 the full derivation, including the harmonic-oscillator case whose
 prefactor
 p0*omega*sin*cos**2*(beta0**4/beta**2 - beta**2) / (2*sqrt(pi)*|A|)
@@ -34,12 +34,11 @@ from .analytic import (
     _DRIFTING, _checked, _drift_force, _kinetic, state_at, total_kinetic,
 )
 from .errors import ParameterError
-from .quantities import SystemKind, _require_finite
+from .quantities import SystemKind, _SHAPE_FIELD, _require_finite
 
 __all__ = [
     "EnergySplit",
     "kinetic_density",
-    "total_kinetic",
     "half_energies",
     "fractions_series",
     "fraction_limits",
@@ -147,23 +146,15 @@ def fraction_limits(system, params):
     if kind is SystemKind.UNIFORM_ACCELERATION:
         return 0.5, 0.5
 
-    if kind is SystemKind.HARMONIC:
-        gamma = params.hbar / (params.mass * system.omega * params.beta)
-        kappa = gamma * gamma + params.beta**2
-        s = p0 / (params.mass * system.omega)
-        shift = (
-            _TWO_OVER_SQRT_PI
-            * (s / (2.0 * s * s + kappa))
-            * (gamma * gamma - params.beta**2)
-            / math.sqrt(kappa)
-        )
-        return 0.5 + shift, 0.5 - shift
-
-    # inverted oscillator
-    gamma = params.hbar / (params.mass * system.omega_tilde * params.beta)
+    omega = getattr(system, _SHAPE_FIELD[kind])
+    gamma = params.hbar / (params.mass * omega * params.beta)
     kappa = gamma * gamma + params.beta**2
-    s = p0 / (params.mass * system.omega_tilde)
-    shift = _TWO_OVER_SQRT_PI * (s / (2.0 * s * s + kappa)) * math.sqrt(kappa)
+    s = p0 / (params.mass * omega)
+    shift = _TWO_OVER_SQRT_PI * (s / (2.0 * s * s + kappa))
+    if kind is SystemKind.HARMONIC:
+        shift = shift * (gamma * gamma - params.beta**2) / math.sqrt(kappa)
+    else:
+        shift = shift * math.sqrt(kappa)
     return 0.5 + shift, 0.5 - shift
 
 
@@ -172,14 +163,11 @@ def extremal_p0(system, params):
     kind = system.kind
     if kind is SystemKind.FREE:
         return 1.0 / (params.alpha * math.sqrt(2.0))
-    if kind is SystemKind.HARMONIC:
-        omega = system.omega
-    elif kind is SystemKind.INVERTED:
-        omega = system.omega_tilde
-    else:
+    if kind is SystemKind.UNIFORM_ACCELERATION:
         raise ParameterError(
             "extremal p0 is defined for free and oscillator systems only"
         )
+    omega = getattr(system, _SHAPE_FIELD[kind])
     return math.sqrt(
         (params.beta * params.mass * omega) ** 2 / 2.0
         + params.hbar**2 / (2.0 * params.beta**2)

@@ -156,15 +156,18 @@ _ALIAS_RATIO = 1e-12
 def momentum_transform(xs, psi, hbar=1.0, check_aliasing=True):
     """Momentum amplitude phi(p) = (2*pi*hbar)**-0.5 * Int exp(-i p x/hbar) psi dx.
 
-    xs must be uniform; returns (ps, phi) with ps ascending.  If the
-    spectral amplitude has not decayed at the edge of the resolvable
-    momentum window the sampling is too coarse and a ResolutionError is
-    raised.
+    xs must be uniform, psi finite and hbar positive; returns (ps, phi)
+    with ps ascending.  If the spectral amplitude has not decayed at the
+    edge of the resolvable momentum window the sampling is too coarse and
+    a ResolutionError is raised.
     """
+    hbar = _require_positive("hbar", hbar)
     xs = np.asarray(xs, dtype=float)
     psi = np.asarray(psi, dtype=complex)
     if xs.ndim != 1 or xs.size < 4 or psi.shape != xs.shape:
         raise ParameterError("xs and psi must be matching 1-d arrays")
+    if not np.isfinite(psi).all():
+        raise ParameterError("psi must be finite")
     dx = xs[1] - xs[0]
     if not np.allclose(np.diff(xs), dx, rtol=1e-12, atol=0.0):
         raise ParameterError("grid must be uniformly spaced")
@@ -243,11 +246,11 @@ def propagate(psi0, spec, t_final):
     Each step is one Strang step (spec.order 2) or Yoshida's triple jump
     of three Strang substeps (spec.order 4).  The step count is chosen so
     an integer number of steps of size as close as possible to spec.dt
-    lands exactly on t_final.  The packet's mean and spread are monitored
-    after every full step; if the mean comes within four standard
-    deviations of a domain edge the run aborts with a BoundaryError,
-    since the periodic grid would fold the leaked amplitude back in
-    silently.
+    lands exactly on t_final.  psi0 must be finite and not all zero.  The
+    packet's mean and spread are monitored after every full step; if the
+    mean comes within four standard deviations of a domain edge, or either
+    is NaN, the run aborts with a BoundaryError, since the periodic grid
+    would fold the leaked amplitude back in silently.
     """
     # Imported here, like quad in integrate: scipy.fft gives the same bits
     # as np.fft on these grids and can work in place.
@@ -258,6 +261,8 @@ def propagate(psi0, spec, t_final):
         raise ParameterError(
             f"psi0 must have shape ({spec.n_grid},), got {psi.shape}"
         )
+    if not (np.isfinite(psi).all() and psi.any()):
+        raise ParameterError("psi0 must be finite and not all zero")
     t_final = _require_finite("t_final", t_final)
     if not t_final >= 0:
         raise ParameterError("t_final must be a finite non-negative number")
@@ -305,7 +310,8 @@ def propagate(psi0, spec, t_final):
         mean = float(first / total)
         var = float(second / total) - mean * mean
         sd = math.sqrt(max(var, 0.0))
-        if mean - 4.0 * sd <= lo or mean + 4.0 * sd >= hi:
+        # Written so that a NaN mean or spread fails the test too.
+        if not (lo < mean - 4.0 * sd and mean + 4.0 * sd < hi):
             raise BoundaryError(
                 f"packet reached within four standard deviations of the domain "
                 f"edge (mean {mean:.3g}, sd {sd:.3g}, domain [{lo:g}, {hi:g}])"

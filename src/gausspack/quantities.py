@@ -169,13 +169,23 @@ def make_params(hbar=1.0, mass=1.0, alpha=1.0, x0=0.0, p0=0.0):
     )
 
 
+# The SystemSpec field that holds each system's one shape parameter; the
+# free particle has none.
+_SHAPE_FIELD = {
+    SystemKind.UNIFORM_ACCELERATION: "force",
+    SystemKind.HARMONIC: "omega",
+    SystemKind.INVERTED: "omega_tilde",
+}
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """One of the four model systems, with its single shape parameter.
 
     kind selects the potential: none, linear (-force*x), harmonic
     (mass*omega^2*x^2/2), or inverted harmonic (-mass*omega_tilde^2*x^2/2).
-    Use the factory functions rather than the constructor.
+    Only the field named by the kind may be set; the factory functions
+    below build each system from its parameter alone.
     """
 
     kind: SystemKind
@@ -184,24 +194,18 @@ class SystemSpec:
     omega_tilde: float | None = None
 
     def __post_init__(self):
-        if self.kind is SystemKind.FREE:
-            extras = (self.force, self.omega, self.omega_tilde)
-            if any(v is not None for v in extras):
-                raise ParameterError("free system takes no shape parameter")
-        elif self.kind is SystemKind.UNIFORM_ACCELERATION:
-            _store_checked(self, "force", _require_finite)
-            if self.omega is not None or self.omega_tilde is not None:
-                raise ParameterError("accelerating system takes only a force")
-        elif self.kind is SystemKind.HARMONIC:
-            _store_checked(self, "omega", _require_positive)
-            if self.force is not None or self.omega_tilde is not None:
-                raise ParameterError("harmonic system takes only omega")
-        elif self.kind is SystemKind.INVERTED:
-            _store_checked(self, "omega_tilde", _require_positive)
-            if self.force is not None or self.omega is not None:
-                raise ParameterError("inverted system takes only omega_tilde")
-        else:  # pragma: no cover - enum is closed
-            raise ParameterError(f"unknown system kind {self.kind!r}")
+        if not isinstance(self.kind, SystemKind):
+            raise ParameterError(f"kind must be a SystemKind, got {self.kind!r}")
+        needed = _SHAPE_FIELD.get(self.kind)
+        for field in _SHAPE_FIELD.values():
+            if field == needed:
+                # A force may point either way; a frequency is positive.
+                check = _require_finite if field == "force" else _require_positive
+                _store_checked(self, field, check)
+            elif getattr(self, field) is not None:
+                raise ParameterError(
+                    f"{self.kind.value} system takes no {field} parameter"
+                )
 
 
 def free_particle():

@@ -49,12 +49,9 @@ from .quantities import (
     PhysicalConstants,
     SystemKind,
     SystemSpec,
-    free_particle,
-    harmonic_oscillator,
-    inverted_oscillator,
     make_params,
     oscillator_derived,
-    uniform_acceleration,
+    _SHAPE_FIELD,
     _as_float,
     _as_int,
 )
@@ -73,13 +70,6 @@ __all__ = [
 
 FORMAT_VERSION = 1
 OUTPUT_NAMES = ("psi", "prob", "kedensity", "scaled", "fractions")
-
-_SYSTEM_PARAM_FIELD = {
-    SystemKind.UNIFORM_ACCELERATION: "force",
-    SystemKind.HARMONIC: "omega",
-    SystemKind.INVERTED: "omega_tilde",
-}
-
 
 @dataclass(frozen=True)
 class AbsoluteWindow:
@@ -150,7 +140,7 @@ def _parse_document(source):
 
 
 _KNOWN_KEYS = {
-    "version", "name", "system", "force", "omega", "omega_tilde",
+    "version", "name", "system", *_SHAPE_FIELD.values(),
     "hbar", "mass", "x0", "alpha", "beta", "beta_over_beta0",
     "p0", "p0_over_dp0", "times", "window", "outputs", "grid_n",
 }
@@ -201,22 +191,18 @@ def _build_scenario(doc, lax):
 
 
 def _build_system(doc, kind):
-    needed = _SYSTEM_PARAM_FIELD.get(kind)
-    for field in ("force", "omega", "omega_tilde"):
+    needed = _SHAPE_FIELD.get(kind)
+    for field in _SHAPE_FIELD.values():
         if field in doc and field != needed:
             _fail(field, f"not a parameter of the {kind.value} system")
-    if kind is SystemKind.FREE:
-        return free_particle()
+    if needed is None:
+        return SystemSpec(kind=kind)
     if needed not in doc:
         _fail(needed, f"required for the {kind.value} system")
     value = _as_number(needed, doc[needed])
-    if kind is SystemKind.UNIFORM_ACCELERATION:
-        return uniform_acceleration(value)
-    if value <= 0:
+    if kind is not SystemKind.UNIFORM_ACCELERATION and value <= 0:
         _fail(needed, "must be positive")
-    if kind is SystemKind.HARMONIC:
-        return harmonic_oscillator(value)
-    return inverted_oscillator(value)
+    return SystemSpec(kind=kind, **{needed: value})
 
 
 def _build_params(doc, kind, system):
@@ -243,7 +229,7 @@ def _build_params(doc, kind, system):
         if kind not in (SystemKind.HARMONIC, SystemKind.INVERTED):
             _fail("beta_over_beta0", "requires an oscillator system")
         ratio = _as_number("beta_over_beta0", doc["beta_over_beta0"])
-        omega = system.omega if kind is SystemKind.HARMONIC else system.omega_tilde
+        omega = getattr(system, _SHAPE_FIELD[kind])
         beta0 = oscillator_derived(PhysicalConstants(hbar, mass), omega).beta0
         alpha = ratio * beta0 / hbar
     if alpha <= 0:
@@ -351,7 +337,7 @@ def serialize_scenario(scenario):
 
     doc = {"version": FORMAT_VERSION, "name": scenario.name,
            "system": scenario.system.kind.value}
-    field = _SYSTEM_PARAM_FIELD.get(scenario.system.kind)
+    field = _SHAPE_FIELD.get(scenario.system.kind)
     if field is not None:
         doc[field] = getattr(scenario.system, field)
     p = scenario.params

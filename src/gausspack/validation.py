@@ -48,6 +48,7 @@ from .oracle import (
 )
 from .quantities import (
     SystemKind,
+    _SHAPE_FIELD,
     _require_positive,
     free_particle,
     harmonic_oscillator,
@@ -83,12 +84,9 @@ def _params_dict(system, params, t):
         "p0": params.p0,
         "t": t,
     }
-    if system.force is not None:
-        doc["force"] = system.force
-    if system.omega is not None:
-        doc["omega"] = system.omega
-    if system.omega_tilde is not None:
-        doc["omega_tilde"] = system.omega_tilde
+    field = _SHAPE_FIELD.get(system.kind)
+    if field is not None:
+        doc[field] = getattr(system, field)
     return doc
 
 

@@ -208,6 +208,8 @@ def test_time_accepts_any_real_as_float(four_cases, t):
         assert type(state.t) is float
         assert state == g.state_at(system, params, float(t))
         assert g.moments_at(system, params, t) == g.moments_at(system, params, float(t))
+        grid = g.sample_grid(system, params, t, (-1.0, 1.0), 8)
+        assert type(grid.t) is float and grid.t == float(t)
         total = g.total_kinetic(system, params, t)
         assert type(total) is float
         assert total == g.total_kinetic(system, params, float(t))

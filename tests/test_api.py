@@ -26,6 +26,40 @@ def test_star_import():
     assert set(g.__all__) <= namespace.keys()
 
 
+# The package's public names: the union of its submodules' __all__ lists.
+PUBLIC_NAMES = [
+    "AbsoluteWindow", "AccuracyError", "BoundaryError", "CheckResult",
+    "EnergySplit", "FORMAT_VERSION", "GausspackError", "GridResult",
+    "INVERTED_TIME_GUARD", "IntegralResult", "Moments", "NonFiniteError",
+    "OUTPUT_NAMES", "OscillatorDerived", "PRESET_NAMES", "PacketParams",
+    "PacketState", "ParameterError", "PhysicalConstants", "PropagatorSpec",
+    "QuadratureSpec", "RelativeWindow", "ResolutionError", "Scenario",
+    "ScenarioError", "SystemKind", "SystemSpec", "TimeRangeError",
+    "UnknownPresetError", "accel_event_times", "asymmetry_amplitude",
+    "eval_psi", "extremal_p0", "fd_derivative", "fd_second_derivative",
+    "figure_columns", "figure_tables", "fraction_limits", "fractions_series",
+    "free_particle", "half_energies", "half_windows", "harmonic_oscillator",
+    "integrate", "inverted_oscillator", "kinetic_density", "load_scenario",
+    "make_params", "moments_at", "momentum_transform", "oscillator_derived",
+    "packet_window", "potential_on_grid", "preset", "probability_density",
+    "propagate", "render_figure", "report", "run_checks", "sample_grid",
+    "scaled_density", "serialize_scenario", "state_at", "total_kinetic",
+    "uniform_acceleration",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(g.__all__) == PUBLIC_NAMES
+
+
+def test_each_public_name_is_declared_by_one_module():
+    owners = {}
+    for name in SUBMODULES:
+        for exported in importlib.import_module(name).__all__:
+            owners.setdefault(exported, []).append(name)
+    assert {n: m for n, m in owners.items() if len(m) > 1} == {}
+
+
 def _run_in_fresh_interpreter(commands):
     """cli.main exit codes of `commands`, run after `import gausspack` in a
     new interpreter, and the scipy modules loaded by the end."""

@@ -135,6 +135,22 @@ def test_momentum_transform_requires_uniform_grid():
         g.momentum_transform(xs, np.ones_like(xs, dtype=complex))
 
 
+def test_momentum_transform_gates_hbar_and_psi():
+    free = g.free_particle()
+    xs = np.linspace(-40.0, 40.0, 1024, endpoint=False)
+    psi = g.eval_psi(free, g.make_params(alpha=1.0), xs, 0.0)
+    for hbar in (0.0, -1.0, True, "1", math.nan, math.inf):
+        with pytest.raises(g.ParameterError):
+            g.momentum_transform(xs, psi, hbar=hbar)
+    for value in (math.inf, math.nan):
+        bad = psi.copy()
+        bad[3] = value
+        with pytest.raises(g.ParameterError):
+            g.momentum_transform(xs, bad)
+    ps, _ = g.momentum_transform(xs, psi, hbar=np.float32(0.5))
+    assert ps.dtype == np.float64
+
+
 def test_propagator_spec_validation():
     free = g.free_particle()
     constants = g.PhysicalConstants()
@@ -288,6 +304,22 @@ def test_propagate_validates_inputs():
         g.propagate(psi0[:-1], spec, 0.1)
     with pytest.raises(g.ParameterError):
         g.propagate(psi0, spec, -0.5)
+    for bad in (np.where(xs == xs[5], np.nan, psi0), np.zeros_like(psi0)):
+        for t_final in (0.0, 0.1):
+            with pytest.raises(g.ParameterError):
+                g.propagate(bad, spec, t_final)
+
+
+def test_propagate_monitor_fails_on_nan_moments():
+    # |psi|**2 overflows to inf, so the monitored mean is inf/inf = NaN.
+    params = g.make_params()
+    free = g.free_particle()
+    spec = g.PropagatorSpec(system=free, constants=params.constants,
+                            domain=(-10.0, 10.0), dt=0.01, n_grid=64)
+    psi0 = 1e200 * g.eval_psi(free, params, spec.grid(), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(g.BoundaryError):
+            g.propagate(psi0, spec, 0.1)
 
 
 # Numbers that are not finite reals: strings, bools and infinities are

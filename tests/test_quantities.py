@@ -118,6 +118,29 @@ def test_system_spec_validation():
         g.SystemSpec(kind=g.SystemKind.HARMONIC, omega=1.0, force=1.0)
 
 
+def test_system_spec_requires_an_enum_kind():
+    # SystemKind is a str enum: the plain strings equal its members but
+    # would slip past every `kind is SystemKind.X` test downstream.
+    with pytest.raises(g.ParameterError):
+        g.SystemSpec(kind="accel", force=1.0)
+    with pytest.raises(g.ParameterError):
+        g.SystemSpec(kind="free")
+
+
+@pytest.mark.parametrize("kind, shape", [
+    (g.SystemKind.FREE, {}),
+    (g.SystemKind.UNIFORM_ACCELERATION, {"force": -0.5}),
+    (g.SystemKind.HARMONIC, {"omega": 2.0}),
+    (g.SystemKind.INVERTED, {"omega_tilde": 0.3}),
+])
+def test_system_spec_rejects_a_stray_shape_field(kind, shape):
+    assert g.SystemSpec(kind=kind, **shape).kind is kind
+    for stray in ("force", "omega", "omega_tilde"):
+        if stray not in shape:
+            with pytest.raises(g.ParameterError):
+                g.SystemSpec(kind=kind, **shape, **{stray: 1.0})
+
+
 def test_oscillator_derived_scales():
     derived = g.oscillator_derived(g.PhysicalConstants(1.0, 1.0), 1.0)
     assert derived.beta0 == 1.0
