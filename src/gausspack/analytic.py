@@ -32,11 +32,14 @@ Numerical care taken here:
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, TimeRangeError
-from .quantities import SystemKind, _as_int, _require_finite, _require_window
+from .quantities import (
+    SystemKind, _SHAPE_FIELD, _as_int, _require_finite, _require_window,
+)
 
 __all__ = [
     "PacketState",
@@ -57,8 +60,7 @@ _HYPERBOLIC_SPLIT = 30.0
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class PacketState:
+class PacketState(NamedTuple):
     """Snapshot of a Gaussian packet at one time.
 
     Attributes
@@ -131,8 +133,7 @@ class GridResult:
             arr.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(NamedTuple):
     """Low-order expectation values of a packet at one time.
 
     energy is computed from its closed-form conserved expression, so it
@@ -183,35 +184,56 @@ def _drifting_state(params, t, force):
     )
 
 
-def _oscillator_terms(system, t):
-    """(omega, sign, grow, grow2, c, s) of an oscillator at time t.
+def _per_element(fn, *args):
+    """fn(*args), mapped over the elements when the last argument is an array.
 
-    The inverted oscillator is the harmonic one continued to omega ->
-    i*omega_tilde: cos and sin become cosh = grow*c and sinh = grow*s, and
-    omega**2 changes sign, carried by sign = -1.  Up to |omega_tilde*t| = 30
-    the plain library functions are used (grow = grow2 = 1.0); beyond that
-    the dominant exponential grow = e**|z| (grow2 = e**(2|z|)) is factored
-    out so that products of several hyperbolic factors cannot overflow
-    prematurely.  The harmonic oscillator has sign = +1 and grow = grow2 =
-    1.0; products with these are exact, so the shared closed forms keep
-    each system's bits.
+    Every transcendental of the closed forms comes from the math module,
+    elementwise also over an array of times: numpy's hypot, exp and cosh
+    round differently, while +, -, * and / on float64 arrays round as
+    on floats.  So the array path gives the scalar path's bits.  A
+    function returning k values gives k rows.
     """
-    if system.kind is SystemKind.HARMONIC:
-        omega = system.omega
-        return omega, 1.0, 1.0, 1.0, math.cos(omega * t), math.sin(omega * t)
-    omega = system.omega_tilde
-    z = omega * t
+    if not isinstance(args[-1], np.ndarray):
+        return fn(*args)
+    columns = [arg.tolist() for arg in np.broadcast_arrays(*args)]
+    return np.array(list(map(fn, *columns)), dtype=float).T
+
+
+def _harmonic_factors(z):
+    """(grow, grow2, c, s) of the harmonic oscillator at z = omega*t."""
+    return 1.0, 1.0, math.cos(z), math.sin(z)
+
+
+def _inverted_factors(z):
+    """(grow, grow2, c, s) of the inverted oscillator at z = omega_tilde*t.
+
+    cosh z = grow*c and sinh z = grow*s.  Up to |z| = 30 the plain library
+    functions are used (grow = grow2 = 1.0); beyond that the dominant
+    exponential grow = e**|z| (grow2 = e**(2|z|)) is factored out so that
+    products of several hyperbolic factors cannot overflow prematurely.
+    """
     if abs(z) > INVERTED_TIME_GUARD:
         raise TimeRangeError(
             f"|omega_tilde*t| = {abs(z):g} exceeds the supported "
             f"range {INVERTED_TIME_GUARD:g}"
         )
     if abs(z) <= _HYPERBOLIC_SPLIT:
-        return omega, -1.0, 1.0, 1.0, math.cosh(z), math.sinh(z)
+        return 1.0, 1.0, math.cosh(z), math.sinh(z)
     damp = math.exp(-2.0 * abs(z))
     s = 0.5 * (1.0 - damp)
-    return (omega, -1.0, math.exp(abs(z)), math.exp(2.0 * abs(z)),
+    return (math.exp(abs(z)), math.exp(2.0 * abs(z)),
             0.5 * (1.0 + damp), -s if z < 0 else s)
+
+
+# The sign of omega**2 and the per-time factors of each oscillator.  The
+# inverted oscillator is the harmonic one continued to omega ->
+# i*omega_tilde: cos and sin become cosh and sinh, and omega**2 changes
+# sign.  The harmonic grow = grow2 = 1.0 and sign = +1 make exact
+# products, so the shared closed forms keep each system's bits.
+_OSCILLATORS = {
+    SystemKind.HARMONIC: (1.0, _harmonic_factors),
+    SystemKind.INVERTED: (-1.0, _inverted_factors),
+}
 
 
 def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
@@ -248,13 +270,38 @@ def _checked(system, params, t):
     for the oscillators, whose solutions are implemented for that start.
     """
     t = _require_finite("t", t)
-    if system.kind in _DRIFTING:
-        return t, None
+    return t, _terms(system, params, t)
+
+
+def _checked_times(system, params, times):
+    """_checked over a non-empty list of times: a float64 array, and terms.
+
+    A bad time raises what _checked raises for the first bad time.
+    """
+    try:
+        t = np.array([_require_finite("t", v) for v in times], dtype=float)
+        return t, _terms(system, params, t)
+    except (ParameterError, TimeRangeError):
+        for v in times:
+            _checked(system, params, v)
+        raise
+
+
+def _terms(system, params, t):
+    """(omega, sign, grow, grow2, c, s) of an oscillator at t, or None.
+
+    t is a float or a float64 array; grow, grow2, c and s follow it.
+    """
+    kind = system.kind
+    if kind in _DRIFTING:
+        return None
     if params.x0 != 0.0:
         raise ParameterError(
-            f"{system.kind.value} solutions are implemented for x0 = 0 only"
+            f"{kind.value} solutions are implemented for x0 = 0 only"
         )
-    return t, _oscillator_terms(system, t)
+    sign, factors = _OSCILLATORS[kind]
+    omega = getattr(system, _SHAPE_FIELD[kind])
+    return (omega, sign, *_per_element(factors, omega * t))
 
 
 def state_at(system, params, t):
@@ -281,7 +328,7 @@ def total_kinetic(system, params, t):
 
 
 def _kinetic(system, params, t, terms):
-    """total_kinetic after the input gate; terms as returned by _checked."""
+    """total_kinetic after the input gate (_checked or _checked_times)."""
     if terms is None:
         p_t = params.p0 + _drift_force(system) * t
         return (p_t * p_t + 1.0 / (2.0 * params.alpha**2)) / (2.0 * params.mass)

@@ -182,8 +182,7 @@ def cmd_evolve(args):
 def cmd_fractions(args):
     scenario = _load(args)
     splits = fractions_series(scenario.system, scenario.params, scenario.times)
-    rows = np.array(
-        [[s.t, s.total, s.plus, s.minus, s.r_plus, s.r_minus] for s in splits])
+    rows = np.array(splits, dtype=float)
     if args.format == "json":
         doc = {
             "version": 1,

@@ -27,11 +27,13 @@ was re-derived independently before being trusted here.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import (
-    _DRIFTING, _checked, _drift_force, _kinetic, state_at, total_kinetic,
+    _DRIFTING, _checked, _checked_times, _drift_force, _kinetic, _per_element,
+    state_at, total_kinetic,
 )
 from .errors import ParameterError
 from .quantities import SystemKind, _SHAPE_FIELD, _require_finite
@@ -48,14 +50,11 @@ __all__ = [
     "asymmetry_amplitude",
 ]
 
-from dataclasses import dataclass
-
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 
 
-@dataclass(frozen=True)
-class EnergySplit:
+class EnergySplit(NamedTuple):
     """Kinetic energy of a packet split at its center.
 
     plus is the energy carried by x > <x>_t, minus by x < <x>_t;
@@ -85,43 +84,60 @@ def kinetic_density(system, params, x, t):
 
 
 def _split_delta(system, params, t, terms):
-    """Half of T_plus - T_minus, in closed form per solution family."""
+    """Half of T_plus - T_minus, in closed form per solution family.
+
+    t and terms come from _checked or _checked_times.
+    """
     p0 = params.p0
     mass = params.mass
 
     if terms is None:
         ratio = t / params.t0
-        spread = ratio / math.hypot(1.0, ratio)
+        spread = ratio / _per_element(math.hypot, 1.0, ratio)
         p_t = p0 + _drift_force(system) * t
         return p_t * spread / (2.0 * mass * params.alpha * _SQRT_PI)
 
     omega, sign, _, grow2, c, s = terms
     beta = params.beta
     gamma = params.hbar / (mass * omega * beta)
-    env = math.hypot(beta * c, gamma * s)
+    env = _per_element(math.hypot, beta * c, gamma * s)
     return grow2 * (
         p0 * omega * s * c * c * (gamma * gamma - sign * beta * beta)
         / (2.0 * _SQRT_PI * env)
     )
 
 
-def half_energies(system, params, t):
-    """EnergySplit of the kinetic energy at the packet center at time t."""
-    t, terms = _checked(system, params, t)
-    total = _kinetic(system, params, t, terms)
-    delta = _split_delta(system, params, t, terms)
+def _split(t, total, delta):
+    """The EnergySplit fields from T(t) and half of T_plus - T_minus."""
     plus = 0.5 * total + delta
     minus = 0.5 * total - delta
     r_plus = plus / total
-    return EnergySplit(
-        t=t, total=total, plus=plus, minus=minus,
-        r_plus=r_plus, r_minus=1.0 - r_plus,
-    )
+    return t, total, plus, minus, r_plus, 1.0 - r_plus
+
+
+def half_energies(system, params, t):
+    """EnergySplit of the kinetic energy at the packet center at time t."""
+    t, terms = _checked(system, params, t)
+    return EnergySplit(*_split(
+        t, _kinetic(system, params, t, terms),
+        _split_delta(system, params, t, terms)))
 
 
 def fractions_series(system, params, times):
-    """half_energies evaluated over a sequence of times."""
-    return tuple(half_energies(system, params, t) for t in times)
+    """half_energies over a sequence of times, with the same bits.
+
+    The input gate and the math-module functions run per time; the rest
+    of the closed forms runs once over float64 arrays.  Overflow gives
+    inf without a warning, as float arithmetic does.
+    """
+    times = list(times)
+    if not times:
+        return ()
+    with np.errstate(all="ignore"):
+        t, terms = _checked_times(system, params, times)
+        columns = _split(t, _kinetic(system, params, t, terms),
+                         _split_delta(system, params, t, terms))
+    return tuple(map(EnergySplit._make, zip(*(c.tolist() for c in columns))))
 
 
 def fraction_limits(system, params):

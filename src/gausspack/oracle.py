@@ -153,7 +153,7 @@ def fd_second_derivative(psi, x, t, h=1e-3):
 _ALIAS_RATIO = 1e-12
 
 
-def momentum_transform(xs, psi, hbar=1.0, check_aliasing=True):
+def momentum_transform(xs, psi, hbar=1.0):
     """Momentum amplitude phi(p) = (2*pi*hbar)**-0.5 * Int exp(-i p x/hbar) psi dx.
 
     xs must be uniform, psi finite and hbar positive; returns (ps, phi)
@@ -176,14 +176,13 @@ def momentum_transform(xs, psi, hbar=1.0, check_aliasing=True):
     raw = np.fft.fft(psi)
     phase = np.exp(-1j * np.fft.fftshift(np.fft.fftfreq(n, d=dx)) * 2.0 * math.pi * xs[0])
     phi = (dx / math.sqrt(2.0 * math.pi * hbar)) * phase * np.fft.fftshift(raw)
-    if check_aliasing:
-        peak = float(np.max(np.abs(phi)))
-        tail = float(max(abs(phi[0]), abs(phi[-1])))
-        if peak > 0.0 and tail > _ALIAS_RATIO * peak:
-            raise ResolutionError(
-                f"spectral tail {tail:.3e} exceeds {_ALIAS_RATIO:g} of peak "
-                f"{peak:.3e}; refine the spatial grid"
-            )
+    peak = float(np.max(np.abs(phi)))
+    tail = float(max(abs(phi[0]), abs(phi[-1])))
+    if peak > 0.0 and tail > _ALIAS_RATIO * peak:
+        raise ResolutionError(
+            f"spectral tail {tail:.3e} exceeds {_ALIAS_RATIO:g} of peak "
+            f"{peak:.3e}; refine the spatial grid"
+        )
     return ps, phi
 
 

@@ -46,13 +46,17 @@ def _as_float(value):
 
     The one coercion behind the parameter checks, the evolution time and
     scenario numbers: np.float32, np.int64 and Fraction are accepted
-    alike, and True/False never are.
+    alike, and True/False never are.  An integer or fraction beyond the
+    float range becomes an infinity, which the finiteness checks refuse.
     """
     if type(value) is float:
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return None
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _as_int(value):

@@ -134,6 +134,8 @@ def _parse_document(source):
         raise ScenarioError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond int's digit limit
+        raise ScenarioError(f"cannot parse scenario: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
     return doc

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +199,8 @@ def test_oscillators_reject_offset_start():
         for fn in (g.state_at, g.moments_at, g.total_kinetic, g.half_energies):
             with pytest.raises(g.ParameterError):
                 fn(system, params, 0.1)
+        with pytest.raises(g.ParameterError, match="x0"):
+            g.fractions_series(system, params, [0.1, 0.2])
 
 
 @pytest.mark.parametrize("t", [1, np.int64(1), np.float32(0.5), np.float64(0.5),
@@ -224,7 +227,10 @@ def test_time_accepts_any_real_as_float(four_cases, t):
 
 
 @pytest.mark.parametrize("t", [True, np.bool_(False), "1", 1j, math.nan, -math.inf,
-                               math.inf])
+                               math.inf,
+                               pytest.param(10**400, id="10**400"),
+                               pytest.param(-10**400, id="-10**400"),
+                               pytest.param(Fraction(10**400, 3), id="Fraction(10**400,3)")])
 def test_time_rejects_bool_and_non_reals(t):
     system, params = g.free_particle(), g.make_params()
     for fn in (g.state_at, g.moments_at, g.total_kinetic, g.half_energies,
@@ -244,6 +250,13 @@ def test_inverted_time_guard():
     for fn in (g.total_kinetic, g.half_energies, g.moments_at):
         with pytest.raises(g.TimeRangeError):
             fn(system, params, -151.0)
+    with pytest.raises(g.TimeRangeError, match="302"):
+        g.fractions_series(system, params, [0.5, 149.0, 151.0, -0.5])
+    # The first bad time decides the error, as in a loop over half_energies.
+    with pytest.raises(g.TimeRangeError):
+        g.fractions_series(system, params, [0.5, -151.0, math.nan])
+    with pytest.raises(g.ParameterError):
+        g.fractions_series(system, params, [0.5, math.nan, -151.0])
 
 
 def test_moments_kinetic_is_total_kinetic():

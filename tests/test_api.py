@@ -93,3 +93,15 @@ def test_quadrature_loads_scipy(tmp_path):
     codes, scipy = _run_in_fresh_interpreter(commands)
     assert codes == [0] and "scipy.integrate" in scipy
     assert json.loads(report.read_text())["all_pass"] is True
+
+
+def test_records_are_immutable_named_tuples(four_cases):
+    system, params, t = four_cases[3]
+    for record in (g.state_at(system, params, t), g.moments_at(system, params, t),
+                   g.half_energies(system, params, t)):
+        fields = tuple(record)
+        assert record == fields and hash(record) == hash(fields)
+        assert fields == tuple(getattr(record, name) for name in record._fields)
+        assert repr(record).startswith(f"{type(record).__name__}(t={t!r}, ")
+        with pytest.raises(AttributeError):
+            record.t = 0.0

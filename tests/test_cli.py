@@ -202,6 +202,21 @@ def test_out_of_range_time_is_reported(run_cli):
     assert err.startswith("gausspack:")
 
 
+def test_overflowing_integer_time_is_a_usage_error(run_cli):
+    doc = json.dumps({
+        "version": 1, "name": "huge", "system": "free", "times": [0.5, 10**400],
+    })
+    code, out, err = run_cli("fractions", "--scenario", doc)
+    assert code == 64 and out == ""
+    assert err == "gausspack: error: field 'times': must be finite\n"
+    # Past Python's 4300-digit limit the integer cannot even be parsed.
+    doc = doc.replace(str(10**400), "1" + "0" * 5000)
+    code, out, err = run_cli("fractions", "--scenario", doc)
+    assert code == 64 and out == ""
+    assert err.startswith("gausspack: error: cannot parse scenario:")
+    assert "Traceback" not in err
+
+
 # Inline scenarios for the two families the presets leave out: a uniformly
 # accelerated packet and an inverted oscillator, both with hbar, mass != 1.
 # The inverted times reach |omega_tilde*t| > 30, where the hyperbolic

@@ -234,14 +234,36 @@ def test_scaled_density_normalized(four_cases):
 
 
 def test_fractions_series_matches_pointwise():
-    free = g.free_particle()
-    params = g.make_params(alpha=1.0, p0=0.9)
-    times = (0.0, 0.5, 1.5, 4.0)
-    series = g.fractions_series(free, params, times)
-    assert tuple(s.t for s in series) == times
-    for s in series:
-        direct = g.half_energies(free, params, s.t)
-        assert s == direct
+    """The array-valued series gives half_energies' bits at every time."""
+    rng = np.random.default_rng(41)
+    systems = (
+        (g.free_particle(), 40.0),
+        (g.uniform_acceleration(-0.7), 40.0),
+        (g.harmonic_oscillator(1.3), 80.0),
+        # |omega_tilde*t| up to 299: both sides of the hyperbolic split at 30
+        (g.inverted_oscillator(0.8), 299.0 / 0.8),
+    )
+    for system, span in systems:
+        drifting = system.kind in (g.SystemKind.FREE, g.SystemKind.UNIFORM_ACCELERATION)
+        for _ in range(25):
+            params = g.make_params(
+                hbar=float(rng.uniform(0.3, 3.0)), mass=float(rng.uniform(0.3, 3.0)),
+                alpha=float(rng.uniform(0.3, 3.0)), p0=float(rng.uniform(-3.0, 3.0)),
+                x0=float(rng.uniform(-2.0, 2.0)) if drifting else 0.0)
+            times = [float(t) for t in rng.uniform(-span, span, 40)]
+            times += [0.0, -0.0, 30.0 / 0.8, -299.0 / 0.8]
+            series = g.fractions_series(system, params, times)
+            pointwise = [g.half_energies(system, params, t) for t in times]
+            assert all(type(s) is g.EnergySplit for s in series)
+            assert np.array(series).tobytes() == np.array(pointwise).tobytes()
+
+
+def test_fractions_series_takes_any_iterable(four_cases):
+    for system, params, t in four_cases:
+        expected = tuple(g.half_energies(system, params, u) for u in (0.0, t, -t))
+        assert g.fractions_series(system, params, np.array([0.0, t, -t])) == expected
+        assert g.fractions_series(system, params, (u for u in (0.0, t, -t))) == expected
+        assert g.fractions_series(system, params, []) == ()
 
 
 _DENSITY_SCENARIO = json.dumps({

@@ -44,6 +44,10 @@ def test_invalid_packet_parameters_rejected():
 REAL_TYPES = [np.float32(0.5), np.float64(0.5), np.int64(2), np.int32(2),
               fractions.Fraction(1, 2), 2]
 NON_REALS = [True, False, np.bool_(True), "0.5", 0.5j, None]
+# Reals beyond the float range are refused like infinities.
+OVERFLOWING = [pytest.param(10**400, id="10**400"),
+               pytest.param(-10**400, id="-10**400"),
+               pytest.param(fractions.Fraction(10**400, 3), id="Fraction(10**400,3)")]
 
 
 @pytest.mark.parametrize("value", REAL_TYPES, ids=repr)
@@ -61,7 +65,7 @@ def test_parameters_accept_any_real_and_store_floats(value):
     assert derived == g.oscillator_derived(params.constants, float(value))
 
 
-@pytest.mark.parametrize("value", NON_REALS, ids=repr)
+@pytest.mark.parametrize("value", NON_REALS + OVERFLOWING, ids=repr)
 def test_parameters_reject_bools_and_non_reals(value):
     for name in ("hbar", "mass", "alpha", "x0", "p0"):
         with pytest.raises(g.ParameterError, match=name):
