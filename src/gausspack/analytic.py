@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ParameterError, TimeRangeError
 from .quantities import (
-    SystemKind, _SHAPE_FIELD, _as_int, _require_finite, _require_window,
+    SystemKind, _SHAPE_FIELD, _as_int, _require_finite, _require_window, _shown,
 )
 
 __all__ = [
@@ -201,6 +201,8 @@ def _per_element(fn, *args):
 
 def _harmonic_factors(z):
     """(grow, grow2, c, s) of the harmonic oscillator at z = omega*t."""
+    if not math.isfinite(z):
+        raise TimeRangeError(f"omega*t = {z:g} is beyond the float range")
     return 1.0, 1.0, math.cos(z), math.sin(z)
 
 
@@ -376,6 +378,16 @@ def moments_at(system, params, t):
     )
 
 
+def _spread_window(system, params, t, k):
+    """(mean - k*sd, mean, mean + k*sd) of the position at t, sd = sqrt(var_x).
+
+    The one rule behind every window placed relative to the packet.
+    """
+    m = moments_at(system, params, t)
+    half = k * math.sqrt(m.var_x)
+    return m.mean_x - half, m.mean_x, m.mean_x + half
+
+
 def sample_grid(system, params, t, window, n):
     """Evaluate psi on n uniformly spaced points spanning `window`.
 
@@ -384,7 +396,7 @@ def sample_grid(system, params, t, window, n):
     xmin, xmax = _require_window("window", window)
     count = _as_int(n)
     if count is None or count < 2:
-        raise ParameterError(f"n must be an integer >= 2, got {n!r}")
+        raise ParameterError(f"n must be an integer >= 2, got {_shown(n)}")
 
     state = state_at(system, params, t)
     xs = np.linspace(xmin, xmax, count)

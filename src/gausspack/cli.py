@@ -26,7 +26,7 @@ from .figures import figure_tables, render_figure
 from .kedensity import fractions_series
 from .quantities import _require_positive
 from .scenarios import PRESET_NAMES, load_scenario, preset, serialize_scenario
-from .validation import report, run_checks
+from .validation import _REPORT_KEYS, report, run_checks
 
 __all__ = ["main"]
 
@@ -37,10 +37,6 @@ EXIT_USAGE = 64
 
 _FRACTION_COLUMNS = ("t", "total", "plus", "minus", "r_plus", "r_minus")
 _EVOLVE_COLUMNS = ("x", "re_psi", "im_psi", "abs_psi", "prob")
-_VALIDATE_COLUMNS = (
-    "name", "system", "params", "analytic", "oracle",
-    "abs_err", "rel_err", "tol", "pass",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,6 +201,13 @@ def cmd_figure(args):
     return _write_tables(figure_tables(scenario), scenario, args, "figure")
 
 
+def _csv_cell(value):
+    """A check record value as a CSV cell: the params and pass as JSON text."""
+    if isinstance(value, (dict, bool)):
+        return dumps_stable(value).rstrip("\n")
+    return value
+
+
 def cmd_validate(args):
     results = run_checks(name_filter=args.filter, rel_tol=args.rel_tol)
     if not results:
@@ -216,16 +219,8 @@ def cmd_validate(args):
     if args.format == "json":
         _emit(dumps_stable(doc), args.out)
     else:
-        rows = []
-        for record in doc["checks"]:
-            rows.append([
-                record["name"], record["system"],
-                dumps_stable(record["params"]).rstrip("\n"),
-                record["analytic"], record["oracle"], record["abs_err"],
-                record["rel_err"], record["tol"],
-                "true" if record["pass"] else "false",
-            ])
-        _emit(render_csv(list(_VALIDATE_COLUMNS), rows), args.out)
+        rows = [[_csv_cell(value) for value in r] for r in results]
+        _emit(render_csv(list(_REPORT_KEYS), rows), args.out)
     return EXIT_OK if doc["all_pass"] else EXIT_FAILURE
 
 

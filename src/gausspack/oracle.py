@@ -10,12 +10,12 @@ evidence.
 
 Parameters
 ----------
-Quadrature follows a QuadratureSpec: integration windows are finite,
-chosen as a multiple of the packet width around its center (the default
-twelve standard deviations keeps the truncated tail far below the
-tolerances).  Splitting an integral at the packet center is done by
-integrating the two half windows separately so the split point is a
-quadrature endpoint.
+Quadrature follows a QuadratureSpec of tolerances and a subdivision
+budget.  Its windows are finite and fixed at twelve position spreads on
+each side of the packet center, where the density has fallen to e**-72
+of its peak, far below any tolerance.  Splitting an integral at the
+packet center is done by integrating the two half windows separately so
+the split point is a quadrature endpoint.
 
 The split-step propagator is built on the Strang step: a half
 potential phase, a full kinetic phase applied in momentum space, and a
@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analytic import moments_at
+from .analytic import _spread_window
 from .errors import AccuracyError, BoundaryError, ParameterError, ResolutionError
 from .quantities import (
     PhysicalConstants,
@@ -63,19 +63,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and window sizing for adaptive quadrature."""
+    """Tolerances and subdivision budget for adaptive quadrature."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    window_sigmas: float = 12.0
     max_subdivisions: int = 200
 
     def __post_init__(self):
         _store_checked(self, "rel_tol", _require_positive)
         _store_checked(self, "abs_tol", _require_positive)
-        _store_checked(self, "window_sigmas", _require_finite)
-        if not (self.window_sigmas >= 6.0):
-            raise ParameterError("window_sigmas must be at least 6")
         count = _as_int(self.max_subdivisions)
         if count is None or count < 10:
             raise ParameterError("max_subdivisions must be an integer >= 10")
@@ -113,18 +109,20 @@ def integrate(f: Callable[[float], float], window, spec=QuadratureSpec()):
     return IntegralResult(value=value, error=abserr)
 
 
-def packet_window(system, params, t, spec=QuadratureSpec()):
-    """Finite window centered on the packet, window_sigmas wide per side."""
-    m = moments_at(system, params, t)
-    half = spec.window_sigmas * math.sqrt(m.var_x)
-    return m.mean_x - half, m.mean_x + half
+# Half-width of the quadrature windows, in position spreads.
+_WINDOW_SIGMAS = 12.0
 
 
-def half_windows(system, params, t, spec=QuadratureSpec()):
+def packet_window(system, params, t):
+    """Finite window centered on the packet, twelve spreads per side."""
+    lo, _, hi = _spread_window(system, params, t, _WINDOW_SIGMAS)
+    return lo, hi
+
+
+def half_windows(system, params, t):
     """The packet window split at the packet center (two windows)."""
-    m = moments_at(system, params, t)
-    half = spec.window_sigmas * math.sqrt(m.var_x)
-    return (m.mean_x - half, m.mean_x), (m.mean_x, m.mean_x + half)
+    lo, mean, hi = _spread_window(system, params, t, _WINDOW_SIGMAS)
+    return (lo, mean), (mean, hi)
 
 
 def fd_derivative(psi, x, t, h=1e-3):

@@ -70,17 +70,29 @@ def _as_int(value):
     return int(value)
 
 
+def _shown(value):
+    """repr(value) for an error message, which must not itself raise.
+
+    repr raises ValueError for an integer past Python's 4300-digit limit.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a value of type {type(value).__name__} too large to print"
+
+
 def _require_finite(name, value):
     number = _as_float(value)
     if number is None or not math.isfinite(number):
-        raise ParameterError(f"{name} must be a finite number, got {value!r}")
+        raise ParameterError(f"{name} must be a finite number, got {_shown(value)}")
     return number
 
 
 def _require_positive(name, value):
     number = _as_float(value)
     if number is None or not (math.isfinite(number) and number > 0):
-        raise ParameterError(f"{name} must be a finite positive number, got {value!r}")
+        raise ParameterError(
+            f"{name} must be a finite positive number, got {_shown(value)}")
     return number
 
 
@@ -89,11 +101,12 @@ def _require_window(name, pair):
     try:
         lo, hi = pair
     except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a (lo, hi) pair, got {pair!r}") from None
+        raise ParameterError(
+            f"{name} must be a (lo, hi) pair, got {_shown(pair)}") from None
     lo = _require_finite(f"{name} lo", lo)
     hi = _require_finite(f"{name} hi", hi)
     if not lo < hi:
-        raise ParameterError(f"{name} must satisfy lo < hi, got {pair!r}")
+        raise ParameterError(f"{name} must satisfy lo < hi, got {_shown(pair)}")
     return lo, hi
 
 
@@ -138,6 +151,10 @@ class PacketParams:
             raise ParameterError("beta must equal alpha * hbar; use make_params")
         if self.t0 != self.constants.mass * self.constants.hbar * self.alpha**2:
             raise ParameterError("t0 must equal mass * hbar * alpha**2; use make_params")
+        # Valid inputs can still overflow or underflow these products, and
+        # an infinite or zero scale turns into a division by zero later.
+        _require_positive("beta = alpha * hbar", self.beta)
+        _require_positive("t0 = mass * hbar * alpha**2", self.t0)
 
     @property
     def hbar(self):

@@ -42,6 +42,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from .analytic import _spread_window
 from .errors import ScenarioError, UnknownPresetError
 from .kedensity import extremal_p0
 from .quantities import (
@@ -87,11 +88,8 @@ class RelativeWindow:
     halfwidth: float
 
     def resolve(self, system, params, t):
-        from .analytic import moments_at
-
-        m = moments_at(system, params, t)
-        half = self.halfwidth * math.sqrt(m.var_x)
-        return m.mean_x - half, m.mean_x + half
+        lo, _, hi = _spread_window(system, params, t, self.halfwidth)
+        return lo, hi
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,11 @@ against a stricter (or looser) bar.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import eval_psi, moments_at, state_at
+from .analytic import _spread_window, eval_psi, state_at
 from .kedensity import half_energies, kinetic_density, total_kinetic
 from .oracle import (
     PropagatorSpec,
@@ -60,8 +60,7 @@ from .quantities import (
 __all__ = ["CheckResult", "run_checks", "report"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one analytic-versus-oracle comparison."""
 
     name: str
@@ -73,6 +72,11 @@ class CheckResult:
     rel_err: float
     tol: float
     passed: bool
+
+
+# The report's key for each CheckResult field, in field order; `passed`
+# is written as "pass", a Python keyword.
+_REPORT_KEYS = tuple("pass" if f == "passed" else f for f in CheckResult._fields)
 
 
 def _params_dict(system, params, t):
@@ -164,9 +168,8 @@ def _check_splitstep(system, params, t):
 
 def _check_reduction(system, params, t):
     free = free_particle()
-    m = moments_at(free, params, t)
-    sigma = math.sqrt(m.var_x)
-    xs = np.linspace(m.mean_x - 6.0 * sigma, m.mean_x + 6.0 * sigma, 801)
+    lo, _, hi = _spread_window(free, params, t, 6.0)
+    xs = np.linspace(lo, hi, 801)
     diff = np.abs(
         eval_psi(system, params, xs, t) - eval_psi(free, params, xs, t)
     )
@@ -229,20 +232,7 @@ def run_checks(name_filter=None, rel_tol=None):
 def report(results):
     """Shape results into the JSON-ready report document."""
     return {
-        "checks": [
-            {
-                "name": r.name,
-                "system": r.system,
-                "params": r.params,
-                "analytic": r.analytic,
-                "oracle": r.oracle,
-                "abs_err": r.abs_err,
-                "rel_err": r.rel_err,
-                "tol": r.tol,
-                "pass": r.passed,
-            }
-            for r in results
-        ],
+        "checks": [dict(zip(_REPORT_KEYS, r)) for r in results],
         "n_checks": len(results),
         "n_failed": sum(1 for r in results if not r.passed),
         "all_pass": all(r.passed for r in results),

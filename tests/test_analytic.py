@@ -230,7 +230,9 @@ def test_time_accepts_any_real_as_float(four_cases, t):
                                math.inf,
                                pytest.param(10**400, id="10**400"),
                                pytest.param(-10**400, id="-10**400"),
-                               pytest.param(Fraction(10**400, 3), id="Fraction(10**400,3)")])
+                               pytest.param(Fraction(10**400, 3), id="Fraction(10**400,3)"),
+                               pytest.param(10**5000, id="10**5000"),
+                               pytest.param(Fraction(-10**5000, 3), id="Fraction(-10**5000,3)")])
 def test_time_rejects_bool_and_non_reals(t):
     system, params = g.free_particle(), g.make_params()
     for fn in (g.state_at, g.moments_at, g.total_kinetic, g.half_energies,
@@ -257,6 +259,17 @@ def test_inverted_time_guard():
         g.fractions_series(system, params, [0.5, -151.0, math.nan])
     with pytest.raises(g.ParameterError):
         g.fractions_series(system, params, [0.5, math.nan, -151.0])
+
+
+@pytest.mark.parametrize("t", [1e10, -1e10])
+def test_harmonic_time_overflow(t):
+    # omega*t overflows to an infinity, whose cosine is undefined.
+    system, params = g.harmonic_oscillator(1e300), g.make_params()
+    for fn in (g.state_at, g.half_energies):
+        with pytest.raises(g.TimeRangeError):
+            fn(system, params, t)
+    with pytest.raises(g.TimeRangeError):
+        g.fractions_series(system, params, [0.5, t])
 
 
 def test_moments_kinetic_is_total_kinetic():
@@ -328,7 +341,8 @@ def test_sample_grid_accepts_any_integer_n(n):
     assert np.all(grid.psi == g.sample_grid(free, params, 1.0, (-8.0, 8.0), 64).psi)
 
 
-@pytest.mark.parametrize("n", [True, 64.0, np.float64(64.0), "64", np.int64(1)])
+@pytest.mark.parametrize("n", [True, 64.0, np.float64(64.0), "64", np.int64(1),
+                               pytest.param(-10**5000, id="-10**5000")])
 def test_sample_grid_rejects_bool_and_non_integer_n(n):
     with pytest.raises(g.ParameterError):
         g.sample_grid(g.free_particle(), g.make_params(), 1.0, (-8.0, 8.0), n)
@@ -337,6 +351,7 @@ def test_sample_grid_rejects_bool_and_non_integer_n(n):
 @pytest.mark.parametrize("window", [
     ("-1", "1"), (False, True), (-1.0, "1"), (-math.inf, 1.0), (-1.0, math.nan),
     (1.0, 1.0), 5, (-1.0, 0.0, 1.0),
+    pytest.param((-1.0, 0.0, 10**5000), id="3-tuple-with-10**5000"),
 ])
 def test_sample_grid_rejects_bad_window(window):
     with pytest.raises(g.ParameterError):

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import pathlib
 
@@ -190,6 +192,25 @@ def test_validate_csv(run_cli):
     assert lines[0] == "name,system,params,analytic,oracle,abs_err,rel_err,tol,pass"
     assert len(lines) == 5  # one per system
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+def test_validate_csv_holds_the_json_records(tmp_path):
+    """The CSV header is a JSON record's key list, and every cell parses
+    back to that record's value."""
+    args = ["validate", "--filter", "normalization", "--rel-tol", "1e-30", "--out"]
+    assert cli.main(args + [str(tmp_path / "r.json")]) == 1
+    assert cli.main(args + [str(tmp_path / "r.csv"), "--format", "csv"]) == 1
+    records = json.loads((tmp_path / "r.json").read_text())["checks"]
+    header, *rows = csv.reader(io.StringIO((tmp_path / "r.csv").read_text()))
+    assert header == list(records[0])
+    assert len(rows) == len(records) == 4
+    assert {record["pass"] for record in records} == {True, False}
+    for row, record in zip(rows, records):
+        assert len(row) == len(header)
+        for key, cell in zip(header, row):
+            value = record[key]
+            parsed = cell if isinstance(value, str) else json.loads(cell)
+            assert type(parsed) is type(value) and parsed == value
 
 
 def test_out_of_range_time_is_reported(run_cli):

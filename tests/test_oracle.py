@@ -17,6 +17,18 @@ def test_unit_gaussian_integral():
     assert value.error < 1e-8
 
 
+def test_packet_windows_share_one_rule():
+    """Every packet-relative window is mean +- k*sqrt(var_x), bit for bit."""
+    for system, params, t in FOUR_CASES:
+        for time in (0.0, t, -2.0 * t):
+            m = g.moments_at(system, params, time)
+            half = 12.0 * math.sqrt(m.var_x)
+            lo, hi = m.mean_x - half, m.mean_x + half
+            assert g.packet_window(system, params, time) == (lo, hi)
+            assert g.RelativeWindow(12.0).resolve(system, params, time) == (lo, hi)
+            assert g.half_windows(system, params, time) == ((lo, m.mean_x), (m.mean_x, hi))
+
+
 def test_probability_normalization_late_time():
     free = g.free_particle()
     params = g.make_params(alpha=1.0, p0=0.5)
@@ -48,8 +60,6 @@ def test_quadrature_spec_validation():
         g.QuadratureSpec(rel_tol=0.0)
     with pytest.raises(g.ParameterError):
         g.QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(g.ParameterError):
-        g.QuadratureSpec(window_sigmas=4.0)  # must be >= 6
     with pytest.raises(g.ParameterError):
         g.QuadratureSpec(max_subdivisions=0)
 
@@ -400,7 +410,7 @@ def test_quadrature_spec_accepts_numpy_integer():
 
 
 @pytest.mark.parametrize("bad", _NOT_FINITE_REALS)
-@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "window_sigmas"])
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
 def test_quadrature_spec_rejects_non_reals(field, bad):
     with pytest.raises(g.ParameterError):
         g.QuadratureSpec(**{field: bad})

@@ -44,10 +44,14 @@ def test_invalid_packet_parameters_rejected():
 REAL_TYPES = [np.float32(0.5), np.float64(0.5), np.int64(2), np.int32(2),
               fractions.Fraction(1, 2), 2]
 NON_REALS = [True, False, np.bool_(True), "0.5", 0.5j, None]
-# Reals beyond the float range are refused like infinities.
+# Reals beyond the float range are refused like infinities, also past
+# the 4300 digits beyond which Python cannot print an integer.
 OVERFLOWING = [pytest.param(10**400, id="10**400"),
                pytest.param(-10**400, id="-10**400"),
-               pytest.param(fractions.Fraction(10**400, 3), id="Fraction(10**400,3)")]
+               pytest.param(fractions.Fraction(10**400, 3), id="Fraction(10**400,3)"),
+               pytest.param(10**5000, id="10**5000"),
+               pytest.param(-10**5000, id="-10**5000"),
+               pytest.param(fractions.Fraction(10**5000, 3), id="Fraction(10**5000,3)")]
 
 
 @pytest.mark.parametrize("value", REAL_TYPES, ids=repr)
@@ -86,6 +90,16 @@ def test_packet_params_requires_consistent_derived_fields():
     with pytest.raises(g.ParameterError):
         g.PacketParams(constants=constants, alpha=1.0, x0=0.0, p0=0.0,
                        beta=1.0, t0=3.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"alpha": 1e154, "mass": 1e20}, id="t0-overflows"),
+    pytest.param({"alpha": 1e-200}, id="t0-underflows"),
+])
+def test_packet_params_refuse_infinite_or_zero_derived_scales(kwargs):
+    # Each input is valid on its own; t0 = mass*hbar*alpha**2 is inf or 0.
+    with pytest.raises(g.ParameterError, match="t0"):
+        g.make_params(**kwargs)
 
 
 def test_params_are_frozen():
