@@ -1,24 +1,27 @@
 """Byte-deterministic CSV and JSON rendering.
 
-Every number the CLI writes is rendered with 17 significant digits
-(enough to round-trip any double exactly).  Numeric tables travel as 2-D
-float64 arrays: after one np.isfinite check over the whole block, rows
-are rendered a bounded chunk at a time by a single %-format of a
-repeated row template, which gives the same bytes as fmt_float applied
-value by value.  Scalars and nested containers in JSON go through
-fmt_float one value at a time, and so do mixed-type CSV rows, whose one
-caller is the validate report: its params cell is JSON text with commas
-and quotes, which needs the RFC 4180 quoting of csv.writer that the
-float-block path cannot give.  The JSON writer emits keys in insertion
-order with no whitespace, so identical inputs always produce identical
-bytes; the standard library encoder is not used because it offers no
-control over float formatting.
+Every number the CLI writes has 17 significant digits, enough to round-trip
+any double.  A numeric table is a 2-D float64 block: after one np.isfinite
+check, one %-format of a repeated row template renders each chunk of rows with
+the bytes of fmt_float.  From 2^16 values on, forked helpers, one per spare
+usable CPU, format equal later row ranges while this process formats the
+first, and the text is joined in row order: the bytes do not change, and
+nothing needs setting.  It stays serial without os.fork, with one usable CPU,
+or while another Python thread runs.  Scalars, JSON containers and mixed-type
+CSV rows (the validate report, whose JSON params cell needs the quoting of
+csv.writer) go through fmt_float one value at a time.  JSON keys keep
+insertion order, with no whitespace; the standard encoder gives no control
+over float formatting.
 """
 
 import csv
 import io
 import json
 import math
+import os
+import signal
+import threading
+import warnings
 
 import numpy as np
 
@@ -28,6 +31,7 @@ __all__ = ["fmt_float", "format_rows", "dumps_stable", "render_csv"]
 
 # Rows rendered per %-format; bounds the temporary tuple and string.
 _CHUNK_ROWS = 4096
+_PARALLEL_MIN_VALUES = 2**16  # per forked helper: twice the measured break-even
 
 
 def fmt_float(value):
@@ -51,19 +55,62 @@ def _require_finite(block):
         raise NonFiniteError(f"cannot render non-finite value {float(bad)!r}")
 
 
+def _chunks(block, row_fmt, row_sep, lo, hi):
+    """Text of rows lo:hi a bounded chunk at a time, led by row_sep if lo > 0."""
+    for start in range(lo, hi, _CHUNK_ROWS):
+        chunk = block[start:min(start + _CHUNK_ROWS, hi)]
+        text = row_sep.join([row_fmt] * len(chunk)) % tuple(chunk.ravel().tolist())
+        yield row_sep + text if start else text
+
+
 def format_rows(block, value_fmt, value_sep, row_sep):
     """Yield the text of a 2-D float array's rows, a bounded chunk at a time.
 
     Each value is rendered with the %-format `value_fmt`; values in a row
     are joined by `value_sep` and rows by `row_sep`.  The chunks are
     consecutive slices of one string, so ``"".join`` gives the whole
-    table.  The caller checks finiteness where it matters.
+    table.  The caller checks finiteness where it matters, before any fork.
+    A helper's rows are formatted here if it fails before sending any.
     """
     row_fmt = value_sep.join([value_fmt] * block.shape[1])
-    for start in range(0, len(block), _CHUNK_ROWS):
-        chunk = block[start:start + _CHUNK_ROWS]
-        text = row_sep.join([row_fmt] * len(chunk)) % tuple(chunk.ravel().tolist())
-        yield row_sep + text if start else text
+    helpers = 0  # serial without os.fork, with one usable CPU or beside other threads
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        helpers = min(len(os.sched_getaffinity(0)) - 1, block.size // _PARALLEL_MIN_VALUES)
+    bounds = [len(block) * k // (helpers + 1) for k in range(1, helpers + 2)]
+    started = []
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            rfd, wfd = os.pipe()
+            with warnings.catch_warnings():
+                # From Python 3.12 fork() warns when other OS threads exist, such
+                # as numpy's idle BLAS pool; the helper calls no BLAS.
+                warnings.filterwarnings("ignore", ".* use of fork", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # a helper: send rows lo:hi once all are formatted
+                try:
+                    with open(wfd, "w", encoding="utf-8", newline="") as pipe:
+                        pipe.write("".join(_chunks(block, row_fmt, row_sep, lo, hi)))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(wfd)
+            started.append((pid, open(rfd, encoding="utf-8", newline="")))
+        yield from _chunks(block, row_fmt, row_sep, 0, bounds[0])
+        for (pid, pipe), lo, hi in zip(started, bounds, bounds[1:]):
+            text = ""  # passed on a bounded piece at a time, not held whole
+            for text in iter(lambda: pipe.read(2**20), ""):
+                yield text
+            status = os.waitpid(pid, 0)[1]
+            pipe.close()
+            if status and text:
+                raise OSError(f"formatting helper {pid} died while sending its rows")
+            yield from _chunks(block, row_fmt, row_sep, lo, hi) if status else ()
+    finally:
+        for pid, pipe in started:
+            if not pipe.closed:  # not reaped: an exception or an early close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pipe.close()
 
 
 def _write(obj, out):

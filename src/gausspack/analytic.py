@@ -39,6 +39,7 @@ import numpy as np
 from .errors import ParameterError, TimeRangeError
 from .quantities import (
     SystemKind, _SHAPE_FIELD, _as_int, _require_finite, _require_window, _shown,
+    _require_squarable,
 )
 
 __all__ = [
@@ -335,6 +336,7 @@ def _kinetic(system, params, t, terms):
         p_t = params.p0 + _drift_force(system) * t
         return (p_t * p_t + 1.0 / (2.0 * params.alpha**2)) / (2.0 * params.mass)
     omega, _, _, grow2, c, s = terms
+    _require_squarable(_SHAPE_FIELD[system.kind], omega)  # omega**2 below
     e_kin0 = (params.p0**2 + params.hbar**2 / (2.0 * params.beta**2)) / (
         2.0 * params.mass
     )
@@ -359,6 +361,7 @@ def moments_at(system, params, t):
         energy = (p0**2 + var_p) / (2.0 * mass) - force * params.x0
     else:
         omega, sign, grow, grow2, c, s = terms
+        _require_squarable(_SHAPE_FIELD[system.kind], omega)
         state = _oscillator_state(params, t, *terms)
         mean_p = p0 * grow * c
         var_p = grow2 * (

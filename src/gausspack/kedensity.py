@@ -36,7 +36,7 @@ from .analytic import (
     state_at, total_kinetic,
 )
 from .errors import ParameterError
-from .quantities import SystemKind, _SHAPE_FIELD, _require_finite
+from .quantities import SystemKind, _SHAPE_FIELD, _require_finite, _require_squarable
 
 __all__ = [
     "EnergySplit",
@@ -183,7 +183,7 @@ def extremal_p0(system, params):
         raise ParameterError(
             "extremal p0 is defined for free and oscillator systems only"
         )
-    omega = getattr(system, _SHAPE_FIELD[kind])
+    omega = _require_squarable(_SHAPE_FIELD[kind], getattr(system, _SHAPE_FIELD[kind]))
     return math.sqrt(
         (params.beta * params.mass * omega) ** 2 / 2.0
         + params.hbar**2 / (2.0 * params.beta**2)

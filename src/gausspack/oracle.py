@@ -39,10 +39,12 @@ from .quantities import (
     PhysicalConstants,
     SystemKind,
     SystemSpec,
+    _SHAPE_FIELD,
     _as_int,
     _require_finite,
     _require_positive,
     _require_window,
+    _require_squarable,
     _store_checked,
 )
 
@@ -230,11 +232,9 @@ def potential_on_grid(system, constants, xs):
         return np.zeros_like(xs)
     if kind is SystemKind.UNIFORM_ACCELERATION:
         return -system.force * xs
-    if kind is SystemKind.HARMONIC:
-        return 0.5 * constants.mass * system.omega**2 * xs * xs
-    if kind is SystemKind.INVERTED:
-        return -0.5 * constants.mass * system.omega_tilde**2 * xs * xs
-    raise ParameterError(f"unknown system kind {kind!r}")  # pragma: no cover
+    field = _SHAPE_FIELD[kind]  # omega, or omega_tilde for the inverted potential
+    omega = _require_squarable(field, getattr(system, field))
+    return (0.5 if kind is SystemKind.HARMONIC else -0.5) * constants.mass * omega**2 * xs * xs
 
 
 def propagate(psi0, spec, t_final):

@@ -96,6 +96,14 @@ def _require_positive(name, value):
     return number
 
 
+def _require_squarable(name, value):
+    """_require_finite, also refusing a value whose `**2` would overflow."""
+    number = _require_finite(name, value)
+    if not math.isfinite(number * number):
+        raise ParameterError(f"{name} must be below 1.3e154 in magnitude, got {_shown(value)}")
+    return number
+
+
 def _require_window(name, pair):
     """pair as a finite (lo, hi) tuple of floats with lo < hi."""
     try:
@@ -147,6 +155,8 @@ class PacketParams:
         _store_checked(self, "alpha", _require_positive)
         _store_checked(self, "x0", _require_finite)
         _store_checked(self, "p0", _require_finite)
+        for name in ("hbar", "alpha", "p0", "beta"):  # the closed forms square them
+            _require_squarable(name, getattr(self, name))
         if self.beta != self.alpha * self.constants.hbar:
             raise ParameterError("beta must equal alpha * hbar; use make_params")
         if self.t0 != self.constants.mass * self.constants.hbar * self.alpha**2:
@@ -179,7 +189,7 @@ def make_params(hbar=1.0, mass=1.0, alpha=1.0, x0=0.0, p0=0.0):
     """Build a PacketParams with consistent derived beta and t0."""
     constants = PhysicalConstants(hbar=hbar, mass=mass)
     hbar, mass = constants.hbar, constants.mass
-    alpha = _require_positive("alpha", alpha)
+    alpha = _require_squarable("alpha", _require_positive("alpha", alpha))
     return PacketParams(
         constants=constants,
         alpha=alpha,

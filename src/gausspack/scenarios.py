@@ -43,7 +43,7 @@ import os
 from dataclasses import dataclass
 
 from .analytic import _spread_window
-from .errors import ScenarioError, UnknownPresetError
+from .errors import ParameterError, ScenarioError, UnknownPresetError
 from .kedensity import extremal_p0
 from .quantities import (
     PacketParams,
@@ -55,6 +55,7 @@ from .quantities import (
     _SHAPE_FIELD,
     _as_float,
     _as_int,
+    _require_squarable,
 )
 
 __all__ = [
@@ -175,8 +176,11 @@ def _build_scenario(doc, lax):
     except ValueError:
         _fail("system", f"expected one of {[k.value for k in SystemKind]}, got {kind_raw!r}")
 
-    system = _build_system(doc, kind)
-    params = _build_params(doc, kind, system)
+    try:
+        system = _build_system(doc, kind)
+        params = _build_params(doc, kind, system)
+    except ParameterError as exc:  # from a quantities gate, which names the field first
+        _fail(str(exc).split()[0], str(exc))
     times = _build_times(doc, kind, system, params, lax)
     window = _build_window(doc, lax)
     outputs = _build_outputs(doc)
@@ -200,8 +204,8 @@ def _build_system(doc, kind):
     if needed not in doc:
         _fail(needed, f"required for the {kind.value} system")
     value = _as_number(needed, doc[needed])
-    if kind is not SystemKind.UNIFORM_ACCELERATION and value <= 0:
-        _fail(needed, "must be positive")
+    if kind is not SystemKind.UNIFORM_ACCELERATION:
+        _require_squarable(needed, value)  # refused here, not only where it is squared
     return SystemSpec(kind=kind, **{needed: value})
 
 
@@ -211,10 +215,6 @@ def _build_params(doc, kind, system):
     x0 = _as_number("x0", doc.get("x0", 0.0))
     if x0 != 0.0 and kind in (SystemKind.HARMONIC, SystemKind.INVERTED):
         _fail("x0", f"must be 0 for the {kind.value} system")
-    if hbar <= 0:
-        _fail("hbar", "must be positive")
-    if mass <= 0:
-        _fail("mass", "must be positive")
 
     width_keys = [k for k in ("alpha", "beta", "beta_over_beta0") if k in doc]
     if len(width_keys) > 1:

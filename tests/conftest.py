@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -31,3 +32,18 @@ def run_cli():
         return proc.returncode, proc.stdout, proc.stderr
 
     return run
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes os.fork starts while the test runs."""
+    started, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return started

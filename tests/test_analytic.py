@@ -272,6 +272,41 @@ def test_harmonic_time_overflow(t):
         g.fractions_series(system, params, [0.5, t])
 
 
+# A finite input whose float `**2` overflows is refused with ParameterError;
+# each of these raised a raw OverflowError before.
+_SHO_HUGE, _INVERTED_HUGE = g.harmonic_oscillator(1e200), g.inverted_oscillator(1e200)
+_SQUARE_OVERFLOWS = {
+    "total_kinetic": lambda: g.total_kinetic(_SHO_HUGE, g.make_params(p0=1.0), 0.0),
+    "moments_at": lambda: g.moments_at(_SHO_HUGE, g.make_params(p0=1.0), 0.0),
+    "half_energies": lambda: g.half_energies(_SHO_HUGE, g.make_params(p0=1.0), 0.0),
+    "fractions_series": lambda: g.fractions_series(_SHO_HUGE, g.make_params(), [0.0, 1.0]),
+    "extremal_p0": lambda: g.extremal_p0(_SHO_HUGE, g.make_params()),
+    "potential_on_grid": lambda: g.potential_on_grid(
+        _SHO_HUGE, g.PhysicalConstants(), np.linspace(-1.0, 1.0, 5)),
+    "potential_on_grid-inverted": lambda: g.potential_on_grid(
+        _INVERTED_HUGE, g.PhysicalConstants(), np.linspace(-1.0, 1.0, 5)),
+    "moments_at-p0": lambda: g.moments_at(g.free_particle(), g.make_params(p0=1e200), 1.0),
+    "moments_at-hbar": lambda: g.moments_at(g.free_particle(), g.make_params(hbar=1e200), 1.0),
+    "total_kinetic-sho-p0": lambda: g.total_kinetic(
+        g.harmonic_oscillator(1.0), g.make_params(p0=1e200), 1.0),
+    # hbar and alpha pass alone, but beta = alpha*hbar = 1e200
+    "total_kinetic-sho-beta": lambda: g.total_kinetic(
+        g.harmonic_oscillator(1.0), g.make_params(alpha=1e100, hbar=1e100), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", _SQUARE_OVERFLOWS)
+def test_overflowing_squares_are_refused(case):
+    with pytest.raises(g.ParameterError, match="below 1.3e154 in magnitude"):
+        _SQUARE_OVERFLOWS[case]()
+
+
+def test_squares_just_below_the_float_range_are_accepted():
+    sho = g.harmonic_oscillator(1e154)
+    assert math.isfinite(g.total_kinetic(sho, g.make_params(p0=1e154), 0.0))
+    assert math.isfinite(g.moments_at(g.free_particle(), g.make_params(hbar=1e154), 0.0).kinetic)
+
+
 def test_moments_kinetic_is_total_kinetic():
     """moments_at and total_kinetic evaluate one formula: equal bit for bit."""
     rng = np.random.default_rng(29)

@@ -3,13 +3,14 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import pathlib
 
 import numpy as np
 import pytest
 
 import gausspack as g
-from gausspack import cli, figures
+from gausspack import _textio, cli, figures
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -370,3 +371,51 @@ def test_non_finite_table_value_is_a_numerical_error(fmt, monkeypatch, capsys,
     assert code == 2
     assert err.startswith("gausspack: numerical error:") and err.count("\n") == 1
     assert not target.exists()
+
+
+def test_overflowing_frequency_is_a_usage_error(capsys):
+    doc = json.dumps({"version": 1, "name": "huge-omega", "system": "sho",
+                      "omega": 1e200, "times": [0.0, 1.0]})
+    assert cli.main(["fractions", "--scenario", doc]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("gausspack: error: field 'omega': ") and "Traceback" not in err
+
+
+# 2^15 grid points at two times: every table, and every SVG polyline, is at
+# least _textio._PARALLEL_MIN_VALUES values, so each is split across a helper.
+LARGE_SCENARIO = json.dumps({
+    "version": 1, "name": "large-pin", "system": "sho", "omega": 1.4,
+    "hbar": 0.8, "mass": 1.3, "alpha": 1.1, "p0": 0.9, "times": [0.0, 1.9],
+    "outputs": ["psi", "prob", "kedensity", "scaled"],
+    "window": {"unit": "dx_t", "halfwidth": 6.0}, "grid_n": 2**15,
+})
+
+
+def test_large_outputs_match_the_serial_bytes(monkeypatch, tmp_path, forks):
+    commands = {
+        "evolve.csv": ["evolve", "--combined"],
+        "figure.json": ["figure", "--format", "json"],
+        "figure.svg": ["figure", "--format", "svg"],
+    }
+
+    def run(tag):
+        outputs = {}
+        for name, args in commands.items():
+            before = len(forks)
+            path = tmp_path / f"{tag}-{name}"
+            assert cli.main([*args, "--scenario", LARGE_SCENARIO, "--out", str(path)]) == 0
+            outputs[name] = (path.read_bytes(), len(forks) - before)
+        return outputs
+
+    # Two usable CPUs wherever this runs, so one helper per large block.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parallel = run("parallel")
+    monkeypatch.setattr(_textio, "_PARALLEL_MIN_VALUES", 2**62)
+    serial = run("serial")
+    # one combined table; one table per time; five polylines per time
+    assert {name: n for name, (_, n) in parallel.items()} == {
+        "evolve.csv": 1, "figure.json": 2, "figure.svg": 10}
+    assert {name: n for name, (_, n) in serial.items()} == dict.fromkeys(commands, 0)
+    for name in commands:
+        assert parallel[name][0] == serial[name][0], name

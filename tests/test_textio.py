@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -73,3 +76,176 @@ def test_format_rows_matches_per_point_fstrings():
     pts[:3] = [[-0.004, 0.005], [0.015, -0.0], [1e-9, 499.995]]
     text = "".join(format_rows(pts, "%.2f", ",", " "))
     assert text == " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
+
+
+# The parallel path: blocks of at least _PARALLEL_MIN_VALUES values are split
+# across forked helpers.  3 * 2^16 values or more give a helper to each of
+# three spare CPUs.
+BIG_ROWS = 3 * _textio._PARALLEL_MIN_VALUES // 7 + 5
+BIG_SHAPE = (BIG_ROWS, 7)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _serial(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(_textio, "_PARALLEL_MIN_VALUES", 2**62)
+        return fn(*args)
+
+
+def _points():
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-500.0, 500.0, size=(BIG_ROWS * 7 // 2, 2))
+    pts[:3] = [[-0.004, 0.005], [0.015, -0.0], [1e-9, 499.995]]
+    return pts
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_parallel_blocks_match_the_serial_bytes(cpus, monkeypatch, forks):
+    _cpus(monkeypatch, cpus)
+    block = _random_block(*BIG_SHAPE, seed=5)
+    pts = _points()
+    cases = [
+        (render_csv, ["a", "b", "c", "d", "e", "f", "g"], block),
+        (dumps_stable, {"rows": block}),
+        (lambda p: "".join(format_rows(p, "%.2f", ",", " ")), pts),
+    ]
+    for fn, *args in cases:
+        assert fn(*args) == _serial(monkeypatch, fn, *args)
+    assert len(forks) == 3 * (cpus - 1)
+    assert _no_children_left()
+
+
+def test_small_blocks_and_threads_stay_serial(monkeypatch, forks):
+    _cpus(monkeypatch, 4)
+    small = _random_block(_textio._PARALLEL_MIN_VALUES // 7, 7, seed=6)
+    assert render_csv(list("abcdefg"), small) == render_csv(list("abcdefg"), small.tolist())
+    assert forks == []
+    block = _random_block(*BIG_SHAPE, seed=6)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        text = dumps_stable(block)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == [] and text == _serial(monkeypatch, dumps_stable, block)
+    _cpus(monkeypatch, 1)
+    assert dumps_stable(block) == text and forks == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_are_rejected_before_any_fork(bad, monkeypatch, forks):
+    _cpus(monkeypatch, 4)
+    block = _random_block(*BIG_SHAPE, seed=7)
+    block[-3, 4] = bad  # in the last helper's rows
+    with pytest.raises(g.NonFiniteError):
+        render_csv(list("abcdefg"), block)
+    with pytest.raises(g.NonFiniteError):
+        dumps_stable({"rows": block})
+    assert forks == []
+
+
+def test_helpers_are_reaped_on_every_path(monkeypatch, forks):
+    _cpus(monkeypatch, 4)
+    block = _random_block(*BIG_SHAPE, seed=8)
+    parent = os.getpid()
+    text = render_csv(list("abcdefg"), block)
+    assert len(forks) == 3 and _no_children_left()
+
+    # an early close() while this process still formats its own rows
+    rows = format_rows(block, "%.17g", ",", "\n")
+    assert text.startswith("a,b,c,d,e,f,g\n" + next(rows))
+    rows.close()
+    assert len(forks) == 6 and _no_children_left()
+
+    # an exception in this process after the helpers started
+    real_chunks = _textio._chunks
+
+    def failing_chunks(*args):
+        if os.getpid() == parent:
+            raise MemoryError("parent")
+        return real_chunks(*args)
+
+    monkeypatch.setattr(_textio, "_chunks", failing_chunks)
+    with pytest.raises(MemoryError):
+        render_csv(list("abcdefg"), block)
+    assert len(forks) == 9 and _no_children_left()
+
+
+def test_a_failed_helper_leaves_its_rows_to_this_process(monkeypatch, forks):
+    _cpus(monkeypatch, 3)
+    block = _random_block(*BIG_SHAPE, seed=9)
+    expected = _serial(monkeypatch, render_csv, list("abcdefg"), block)
+    parent = os.getpid()
+    real_chunks = _textio._chunks
+
+    def helper_fails(*args):  # the monkeypatch is inherited through fork
+        if os.getpid() != parent:
+            raise MemoryError("helper")
+        return real_chunks(*args)
+
+    monkeypatch.setattr(_textio, "_chunks", helper_fails)
+    assert render_csv(list("abcdefg"), block) == expected
+    assert len(forks) == 2 and _no_children_left()
+
+
+def test_a_helper_dying_while_sending_raises_oserror(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    block = _random_block(*BIG_SHAPE, seed=10)
+
+    class HalfPipe:
+        """A helper's pipe end that sends half of its text, then dies."""
+
+        def __init__(self, fd, mode, **kwargs):
+            self.file = open(fd, mode, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, data):
+            self.file.write(data[:len(data) // 2])
+            self.file.flush()
+            os._exit(3)
+
+    def helper_open(fd, mode="r", **kwargs):
+        return (HalfPipe if mode == "w" else open)(fd, mode, **kwargs)
+
+    monkeypatch.setattr(_textio, "open", helper_open, raising=False)
+    with pytest.raises(OSError, match="died while sending"):
+        dumps_stable(block)
+    assert len(forks) == 1 and _no_children_left()
+
+
+def test_fork_warning_is_silenced(monkeypatch, forks):
+    """From Python 3.12 fork() warns while other OS threads exist, such as
+    numpy's BLAS pool; a thread stands in for that pool here."""
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    block = _random_block(*BIG_SHAPE, seed=11)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            text = render_csv(list("abcdefg"), block)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(forks) == 1 and not [w for w in caught if "fork" in str(w.message)]
+    assert text == _serial(monkeypatch, render_csv, list("abcdefg"), block)
