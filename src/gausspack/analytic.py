@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 INVERTED_TIME_GUARD = 300.0
-_DRIFTING = (SystemKind.FREE, SystemKind.UNIFORM_ACCELERATION)
 _HYPERBOLIC_SPLIT = 30.0
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -98,26 +97,30 @@ class PacketState(NamedTuple):
             self.lin_phase * np.asarray(x) + self.const_phase
         )
         value = self.norm * np.exp(exponent)
-        if np.ndim(x) == 0:
-            return complex(value)
-        return value
+        return complex(value) if np.ndim(x) == 0 else value
 
     def dpsi_dx(self, x):
         """Closed-form spatial derivative of psi at x."""
         u = np.asarray(x) - self.center
         factor = -2.0 * self.quad_coeff * u + 1j * self.lin_phase
         value = factor * self.psi(x)
-        if np.ndim(x) == 0:
-            return complex(value)
-        return value
+        return complex(value) if np.ndim(x) == 0 else value
 
     def prob(self, x):
         """Probability density |psi|**2 in closed form."""
-        u = (np.asarray(x) - self.center) / self.width
-        value = np.exp(-u * u) / (_SQRT_PI * self.width)
-        if np.ndim(x) == 0:
-            return float(value)
-        return value
+        u = np.atleast_1d(np.asarray(x) - self.center)
+        value = _prob_at_offset(u, self.width, np.empty_like(u))
+        return float(value[0]) if np.ndim(x) == 0 else value
+
+
+def _prob_at_offset(u, width, out):
+    """exp(-(u/w)**2) / (sqrt(pi)*w) at u = x - center, into out; u is overwritten."""
+    u /= width
+    np.negative(u, out=out)
+    out *= u
+    np.exp(out, out=out)
+    out /= _SQRT_PI * width
+    return out
 
 
 @dataclass
@@ -154,17 +157,13 @@ class Moments(NamedTuple):
 
 def _drift_force(system):
     """Constant force of a drifting system: zero for the free particle."""
-    return 0.0 if system.kind is SystemKind.FREE else system.force
+    return 0.0 if system.force is None else system.force
 
 
 def _drifting_state(params, t, force):
     """Free and uniformly accelerated packets share one solution family."""
-    hbar = params.hbar
-    mass = params.mass
-    beta = params.beta
-    t0 = params.t0
-    p0 = params.p0
-    x0 = params.x0
+    hbar, mass = params.constants.hbar, params.constants.mass
+    beta, t0, p0, x0 = params.beta, params.t0, params.p0, params.x0
 
     z = complex(1.0, t / t0)
     abs_z = abs(z)
@@ -179,23 +178,20 @@ def _drifting_state(params, t, force):
         - p_t * (x0 + p0 * t / (2.0 * mass))
     ) / hbar - 0.5 * math.atan2(t / t0, 1.0)
     norm = 1.0 / math.sqrt(_SQRT_PI * width)
-    return PacketState(
-        t=t, center=center, width=width, quad_coeff=quad,
-        lin_phase=lin, const_phase=const, norm=norm,
-    )
+    return PacketState(t, center, width, quad, lin, const, norm)
 
 
 def _per_element(fn, *args):
-    """fn(*args), mapped over the elements when the last argument is an array.
+    """fn mapped over the elements of broadcast float64 arrays.
 
     Every transcendental of the closed forms comes from the math module,
     elementwise also over an array of times: numpy's hypot, exp and cosh
     round differently, while +, -, * and / on float64 arrays round as
     on floats.  So the array path gives the scalar path's bits.  A
-    function returning k values gives k rows.
+    function returning k values gives k rows.  For a float time the
+    callers call fn(*args) directly: this dispatch would cost more than
+    the math.
     """
-    if not isinstance(args[-1], np.ndarray):
-        return fn(*args)
     columns = [arg.tolist() for arg in np.broadcast_arrays(*args)]
     return np.array(list(map(fn, *columns)), dtype=float).T
 
@@ -228,11 +224,11 @@ def _inverted_factors(z):
             0.5 * (1.0 + damp), -s if z < 0 else s)
 
 
-# The sign of omega**2 and the per-time factors of each oscillator.  The
-# inverted oscillator is the harmonic one continued to omega ->
-# i*omega_tilde: cos and sin become cosh and sinh, and omega**2 changes
-# sign.  The harmonic grow = grow2 = 1.0 and sign = +1 make exact
-# products, so the shared closed forms keep each system's bits.
+# The sign of omega**2 and the per-time factors of each oscillator (a kind
+# not listed is drifting).  The inverted oscillator is the harmonic one
+# continued to omega -> i*omega_tilde: cos and sin become cosh and sinh, and
+# omega**2 changes sign.  The harmonic grow = grow2 = 1.0 and sign = +1 make
+# exact products, so the shared closed forms keep each system's bits.
 _OSCILLATORS = {
     SystemKind.HARMONIC: (1.0, _harmonic_factors),
     SystemKind.INVERTED: (-1.0, _inverted_factors),
@@ -241,10 +237,8 @@ _OSCILLATORS = {
 
 def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
     """Harmonic and inverted oscillator packets share one solution family."""
-    hbar = params.hbar
-    mass = params.mass
-    beta = params.beta
-    p0 = params.p0
+    hbar, mass = params.constants.hbar, params.constants.mass
+    beta, p0 = params.beta, params.p0
 
     gamma = hbar / (mass * omega * beta)
     envelope = complex(beta * c, gamma * s)
@@ -260,10 +254,7 @@ def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
     lin = p0 * grow * c / hbar
     const = -p0 * center * grow * c / (2.0 * hbar) - 0.5 * cmath.phase(envelope)
     norm = 1.0 / math.sqrt(_SQRT_PI * width)
-    return PacketState(
-        t=t, center=center, width=width, quad_coeff=quad,
-        lin_phase=lin, const_phase=const, norm=norm,
-    )
+    return PacketState(t, center, width, quad, lin, const, norm)
 
 
 def _checked(system, params, t):
@@ -296,15 +287,15 @@ def _terms(system, params, t):
     t is a float or a float64 array; grow, grow2, c and s follow it.
     """
     kind = system.kind
-    if kind in _DRIFTING:
+    oscillator = _OSCILLATORS.get(kind)
+    if oscillator is None:
         return None
     if params.x0 != 0.0:
-        raise ParameterError(
-            f"{kind.value} solutions are implemented for x0 = 0 only"
-        )
-    sign, factors = _OSCILLATORS[kind]
+        raise ParameterError(f"{kind.value} solutions are implemented for x0 = 0 only")
+    sign, factors = oscillator
     omega = getattr(system, _SHAPE_FIELD[kind])
-    return (omega, sign, *_per_element(factors, omega * t))
+    z = omega * t
+    return omega, sign, *(factors(z) if type(z) is float else _per_element(factors, z))
 
 
 def state_at(system, params, t):
@@ -332,53 +323,54 @@ def total_kinetic(system, params, t):
 
 def _kinetic(system, params, t, terms):
     """total_kinetic after the input gate (_checked or _checked_times)."""
+    mass = params.constants.mass
     if terms is None:
         p_t = params.p0 + _drift_force(system) * t
-        return (p_t * p_t + 1.0 / (2.0 * params.alpha**2)) / (2.0 * params.mass)
+        return (p_t * p_t + 1.0 / (2.0 * params.alpha**2)) / (2.0 * mass)
     omega, _, _, grow2, c, s = terms
-    _require_squarable(_SHAPE_FIELD[system.kind], omega)  # omega**2 below
-    e_kin0 = (params.p0**2 + params.hbar**2 / (2.0 * params.beta**2)) / (
-        2.0 * params.mass
-    )
-    e_pot0 = params.mass * omega**2 * params.beta**2 / 4.0
+    beta = params.beta
+    try:
+        e_pot0 = mass * omega**2 * beta**2 / 4.0
+    except OverflowError:
+        _require_squarable(_SHAPE_FIELD[system.kind], omega)
+        raise
+    e_kin0 = (params.p0**2 + params.constants.hbar**2 / (2.0 * beta**2)) / (2.0 * mass)
     return grow2 * (e_kin0 * c * c + e_pot0 * s * s)
 
 
 def moments_at(system, params, t):
     """Closed-form expectation values at time t."""
     t, terms = _checked(system, params, t)
-    hbar = params.hbar
-    mass = params.mass
-    beta = params.beta
-    p0 = params.p0
-
-    if terms is None:
-        force = _drift_force(system)
-        state = _drifting_state(params, t, force)
-        mean_p = p0 + force * t
-        var_p = 1.0 / (2.0 * params.alpha**2)
-        potential = -force * state.center
-        energy = (p0**2 + var_p) / (2.0 * mass) - force * params.x0
-    else:
-        omega, sign, grow, grow2, c, s = terms
-        _require_squarable(_SHAPE_FIELD[system.kind], omega)
-        state = _oscillator_state(params, t, *terms)
-        mean_p = p0 * grow * c
-        var_p = grow2 * (
-            (hbar * hbar / (2.0 * beta * beta)) * c * c
-            + (mass * omega * beta) ** 2 * s * s / 2.0
-        )
-        # <V> = sign * mass*omega**2*<x**2>/2 with <x**2> = center**2 + var_x.
-        potential = sign * 0.5 * mass * omega**2 * (
-            state.center**2 + state.width**2 / 2.0
-        )
-        e_kin0 = (p0 * p0 + hbar * hbar / (2.0 * beta * beta)) / (2.0 * mass)
-        energy = e_kin0 + sign * mass * omega * omega * beta * beta / 4.0
-    return Moments(
-        t=t, mean_x=state.center, var_x=state.width**2 / 2.0,
-        mean_p=mean_p, var_p=var_p, kinetic=_kinetic(system, params, t, terms),
-        potential=potential, energy=energy,
-    )
+    kinetic = _kinetic(system, params, t, terms)  # the oscillators' omega**2 gate
+    hbar, mass = params.constants.hbar, params.constants.mass
+    beta, p0 = params.beta, params.p0
+    force = _drift_force(system)
+    state = (_drifting_state(params, t, force) if terms is None
+             else _oscillator_state(params, t, *terms))
+    try:
+        var_x = state.width**2 / 2.0
+        if terms is None:
+            mean_p = p0 + force * t
+            var_p = 1.0 / (2.0 * params.alpha**2)
+            potential = -force * state.center
+            energy = (p0**2 + var_p) / (2.0 * mass) - force * params.x0
+        else:
+            omega, sign, grow, grow2, c, s = terms
+            mean_p = p0 * grow * c
+            var_p = grow2 * ((hbar * hbar / (2.0 * beta * beta)) * c * c
+                             + (mass * omega * beta) ** 2 * s * s / 2.0)
+            # <V> = sign * mass*omega**2*<x**2>/2 with <x**2> = center**2 + var_x.
+            potential = sign * 0.5 * mass * omega**2 * (state.center**2 + var_x)
+            e_kin0 = (p0 * p0 + hbar * hbar / (2.0 * beta * beta)) / (2.0 * mass)
+            energy = e_kin0 + sign * mass * omega * omega * beta * beta / 4.0
+    except OverflowError:
+        # The input gates pass every square of an input, so a derived one
+        # overflowed; a drifting packet squares only its width.
+        _require_squarable(f"packet width at t = {t!r}", state.width)
+        _require_squarable("mass*omega*beta", mass * terms[0] * beta)
+        _require_squarable(f"packet center at t = {t!r}", state.center)
+        raise
+    return Moments(t, state.center, var_x, mean_p, var_p, kinetic, potential, energy)
 
 
 def _spread_window(system, params, t, k):

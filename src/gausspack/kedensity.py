@@ -27,13 +27,15 @@ was re-derived independently before being trusted here.
 """
 
 import math
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import (
-    _DRIFTING, _checked, _checked_times, _drift_force, _kinetic, _per_element,
-    state_at, total_kinetic,
+    _OSCILLATORS, _checked, _checked_times, _drift_force, _kinetic, _per_element,
+    _prob_at_offset, state_at, total_kinetic,
 )
 from .errors import ParameterError
 from .quantities import SystemKind, _SHAPE_FIELD, _require_finite, _require_squarable
@@ -71,16 +73,22 @@ class EnergySplit(NamedTuple):
 
 
 def kinetic_density(system, params, x, t):
-    """Closed-form T(x, t); x may be a scalar or ndarray."""
+    """Closed-form T(x, t); x may be a scalar or ndarray.
+
+    The ufuncs of scale*(l*l - 4*l*Im(a)*u + 4*|a|**2*u*u)*state.prob(x) in
+    their order, in three arrays (a scalar x is a one-element array).
+    """
     state = state_at(system, params, t)
-    u = np.asarray(x) - state.center
-    a = state.quad_coeff
-    l = state.lin_phase
-    poly = l * l - 4.0 * l * a.imag * u + 4.0 * abs(a) ** 2 * u * u
-    value = (params.hbar**2 / (2.0 * params.mass)) * poly * state.prob(x)
-    if np.ndim(x) == 0:
-        return float(value)
-    return value
+    u = np.atleast_1d(np.asarray(x) - state.center)
+    a, l = state.quad_coeff, state.lin_phase
+    poly = 4.0 * l * a.imag * u
+    np.subtract(l * l, poly, out=poly)
+    square = 4.0 * abs(a) ** 2 * u
+    square *= u
+    poly += square
+    np.multiply(params.constants.hbar**2 / (2.0 * params.constants.mass), poly, out=poly)
+    poly *= _prob_at_offset(u, state.width, square)
+    return float(poly[0]) if np.ndim(x) == 0 else poly
 
 
 def _split_delta(system, params, t, terms):
@@ -89,18 +97,19 @@ def _split_delta(system, params, t, terms):
     t and terms come from _checked or _checked_times.
     """
     p0 = params.p0
-    mass = params.mass
+    mass = params.constants.mass
+    hypot = math.hypot if type(t) is float else partial(_per_element, math.hypot)
 
     if terms is None:
         ratio = t / params.t0
-        spread = ratio / _per_element(math.hypot, 1.0, ratio)
+        spread = ratio / hypot(1.0, ratio)
         p_t = p0 + _drift_force(system) * t
         return p_t * spread / (2.0 * mass * params.alpha * _SQRT_PI)
 
     omega, sign, _, grow2, c, s = terms
     beta = params.beta
-    gamma = params.hbar / (mass * omega * beta)
-    env = _per_element(math.hypot, beta * c, gamma * s)
+    gamma = params.constants.hbar / (mass * omega * beta)
+    env = hypot(beta * c, gamma * s)
     return grow2 * (
         p0 * omega * s * c * c * (gamma * gamma - sign * beta * beta)
         / (2.0 * _SQRT_PI * env)
@@ -128,7 +137,8 @@ def fractions_series(system, params, times):
 
     The input gate and the math-module functions run per time; the rest
     of the closed forms runs once over float64 arrays.  Overflow gives
-    inf without a warning, as float arithmetic does.
+    inf without a warning, as float arithmetic does.  Records are built
+    by tuple.__new__, as EnergySplit._make builds them.
     """
     times = list(times)
     if not times:
@@ -137,7 +147,7 @@ def fractions_series(system, params, times):
         t, terms = _checked_times(system, params, times)
         columns = _split(t, _kinetic(system, params, t, terms),
                          _split_delta(system, params, t, terms))
-    return tuple(map(EnergySplit._make, zip(*(c.tolist() for c in columns))))
+    return tuple(map(tuple.__new__, repeat(EnergySplit), zip(*(c.tolist() for c in columns))))
 
 
 def fraction_limits(system, params):
@@ -184,10 +194,8 @@ def extremal_p0(system, params):
             "extremal p0 is defined for free and oscillator systems only"
         )
     omega = _require_squarable(_SHAPE_FIELD[kind], getattr(system, _SHAPE_FIELD[kind]))
-    return math.sqrt(
-        (params.beta * params.mass * omega) ** 2 / 2.0
-        + params.hbar**2 / (2.0 * params.beta**2)
-    )
+    product = _require_squarable("beta*mass*omega", params.beta * params.mass * omega)
+    return math.sqrt(product**2 / 2.0 + params.hbar**2 / (2.0 * params.beta**2))
 
 
 def _positive_total(system, params, t):
@@ -228,7 +236,7 @@ def asymmetry_amplitude(system, params, t):
     spread.
     """
     t = _require_finite("t", t)
-    if system.kind not in _DRIFTING:
+    if system.kind in _OSCILLATORS:
         raise ParameterError("asymmetry amplitude applies to drifting packets only")
     s = params.alpha * (params.p0 + _drift_force(system) * t)
     return _TWO_OVER_SQRT_PI * abs(s) / (2.0 * s * s + 1.0)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -299,6 +300,27 @@ _SQUARE_OVERFLOWS = {
 def test_overflowing_squares_are_refused(case):
     with pytest.raises(g.ParameterError, match="below 1.3e154 in magnitude"):
         _SQUARE_OVERFLOWS[case]()
+
+
+# Valid inputs whose derived quantities have no float square; each raised a
+# raw OverflowError before.  The error names the quantity.
+_DERIVED_SQUARE_OVERFLOWS = {
+    "mass*omega*beta": lambda: g.moments_at(
+        g.harmonic_oscillator(1e100), g.make_params(mass=1e100), 0.0),
+    "packet width at t = 1e+200": lambda: g.moments_at(
+        g.free_particle(), g.make_params(), 1e200),
+    "packet center at t = 1e+100": lambda: g.moments_at(
+        g.harmonic_oscillator(1e-200), g.make_params(p0=1e100), 1e100),
+    "beta*mass*omega": lambda: g.extremal_p0(
+        g.harmonic_oscillator(1e100), g.make_params(mass=1e100)),
+}
+
+
+@pytest.mark.parametrize("quantity", _DERIVED_SQUARE_OVERFLOWS)
+def test_overflowing_derived_squares_are_refused(quantity):
+    expected = re.escape(quantity) + " must be below 1.3e154 in magnitude"
+    with pytest.raises(g.ParameterError, match=expected):
+        _DERIVED_SQUARE_OVERFLOWS[quantity]()
 
 
 def test_squares_just_below_the_float_range_are_accepted():
