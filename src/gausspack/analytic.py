@@ -29,7 +29,6 @@ Numerical care taken here:
   factor extracted so no intermediate overflows.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -252,7 +251,9 @@ def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
         / (2.0 * hbar * abs_env * abs_env),
     )
     lin = p0 * grow * c / hbar
-    const = -p0 * center * grow * c / (2.0 * hbar) - 0.5 * cmath.phase(envelope)
+    # math.atan2 rounds a phase that underflows to 0; cmath.phase raises there.
+    const = (-p0 * center * grow * c / (2.0 * hbar)
+             - 0.5 * math.atan2(envelope.imag, envelope.real))
     norm = 1.0 / math.sqrt(_SQRT_PI * width)
     return PacketState(t, center, width, quad, lin, const, norm)
 

@@ -7,7 +7,6 @@ table, 64 usage error.
 """
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -22,10 +21,10 @@ from .errors import (
     ScenarioError,
     UnknownPresetError,
 )
-from .figures import figure_tables, render_figure
-from .kedensity import fractions_series
+from .figures import _GRID_COLUMNS, figure_tables, render_figure
+from .kedensity import EnergySplit, fractions_series
 from .quantities import _require_positive
-from .scenarios import PRESET_NAMES, load_scenario, preset, serialize_scenario
+from .scenarios import PRESET_NAMES, _scenario_dict, load_scenario, preset
 from .validation import _REPORT_KEYS, report, run_checks
 
 __all__ = ["main"]
@@ -34,9 +33,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_NUMERIC = 2
 EXIT_USAGE = 64
-
-_FRACTION_COLUMNS = ("t", "total", "plus", "minus", "r_plus", "r_minus")
-_EVOLVE_COLUMNS = ("x", "re_psi", "im_psi", "abs_psi", "prob")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,59 +133,42 @@ def _table_paths(path, count):
     return [f"{stem}_{i:03d}{suffix}" for i in range(count)]
 
 
-def _scenario_doc(scenario):
-    return json.loads(serialize_scenario(scenario))
-
-
-def _write_tables(tables, scenario, args, command):
-    """Shared CSV/JSON emission for the evolve and figure data tables."""
+def _write(args, command, body, tables):
+    """Write one JSON document, body after the version and command keys,
+    or each (columns, rows) table as one CSV file at _table_paths' paths."""
     if args.format == "json":
-        doc = {
-            "version": 1,
-            "command": command,
-            "scenario": _scenario_doc(scenario),
-            "tables": [
-                {"t": t, "columns": columns, "rows": rows}
-                for t, columns, rows in tables
-            ],
-        }
-        _emit(dumps_stable(doc), args.out)
-        return EXIT_OK
-    if command == "evolve" and args.combined:
-        columns = ["t"] + tables[0][1]
-        rows = np.vstack([
-            np.column_stack((np.full(len(trows), t), trows))
-            for t, _, trows in tables
-        ])
-        _emit(render_csv(columns, rows), args.out)
-        return EXIT_OK
-    paths = _table_paths(args.out, len(tables))
-    for (t, columns, rows), path in zip(tables, paths):
+        _emit(dumps_stable({"version": 1, "command": command, **body}), args.out)
+        return
+    for (columns, rows), path in zip(tables, _table_paths(args.out, len(tables))):
         _emit(render_csv(columns, rows), path)
-    return EXIT_OK
+
+
+def _grids(scenario, tables):
+    """The JSON body and the CSV tables of figure_tables output."""
+    body = {"scenario": _scenario_dict(scenario),
+            "tables": [{"t": t, "columns": columns, "rows": rows}
+                       for t, columns, rows in tables]}
+    return body, [(columns, rows) for _, columns, rows in tables]
 
 
 def cmd_evolve(args):
     scenario = _load(args)
-    tables = figure_tables(scenario, list(_EVOLVE_COLUMNS))
-    return _write_tables(tables, scenario, args, "evolve")
+    tables = figure_tables(scenario, list(_GRID_COLUMNS))
+    body, csv_tables = _grids(scenario, tables)
+    if args.combined and args.format == "csv":
+        stacked = np.vstack([np.column_stack((np.full(len(rows), t), rows))
+                             for t, _, rows in tables])
+        csv_tables = [(["t", *_GRID_COLUMNS], stacked)]
+    _write(args, "evolve", body, csv_tables)
+    return EXIT_OK
 
 
 def cmd_fractions(args):
     scenario = _load(args)
     splits = fractions_series(scenario.system, scenario.params, scenario.times)
-    rows = np.array(splits, dtype=float)
-    if args.format == "json":
-        doc = {
-            "version": 1,
-            "command": "fractions",
-            "scenario": _scenario_doc(scenario),
-            "columns": list(_FRACTION_COLUMNS),
-            "rows": rows,
-        }
-        _emit(dumps_stable(doc), args.out)
-    else:
-        _emit(render_csv(list(_FRACTION_COLUMNS), rows), args.out)
+    columns, rows = list(EnergySplit._fields), np.array(splits, dtype=float)
+    body = {"scenario": _scenario_dict(scenario), "columns": columns, "rows": rows}
+    _write(args, "fractions", body, [(columns, rows)])
     return EXIT_OK
 
 
@@ -197,8 +176,9 @@ def cmd_figure(args):
     scenario = _load(args)
     if args.format == "svg":
         _emit(render_figure(scenario), args.out)
-        return EXIT_OK
-    return _write_tables(figure_tables(scenario), scenario, args, "figure")
+    else:
+        _write(args, "figure", *_grids(scenario, figure_tables(scenario)))
+    return EXIT_OK
 
 
 def _csv_cell(value):
@@ -214,14 +194,10 @@ def cmd_validate(args):
         print(f"gausspack: error: --filter {args.filter!r} matches no check",
               file=sys.stderr)
         return EXIT_USAGE
-    doc = {"version": 1, "command": "validate"}
-    doc.update(report(results))
-    if args.format == "json":
-        _emit(dumps_stable(doc), args.out)
-    else:
-        rows = [[_csv_cell(value) for value in r] for r in results]
-        _emit(render_csv(list(_REPORT_KEYS), rows), args.out)
-    return EXIT_OK if doc["all_pass"] else EXIT_FAILURE
+    body = report(results)
+    rows = [map(_csv_cell, r) for r in results]  # cells made only if the CSV is written
+    _write(args, "validate", body, [(list(_REPORT_KEYS), rows)])
+    return EXIT_OK if body["all_pass"] else EXIT_FAILURE
 
 
 def main(argv=None):

@@ -26,6 +26,7 @@ from .analytic import sample_grid, state_at
 from .errors import ParameterError
 from .kedensity import _positive_total, kinetic_density
 from .quantities import SystemKind
+from .scenarios import RelativeWindow
 
 __all__ = ["render_figure", "figure_tables", "figure_columns"]
 
@@ -37,6 +38,8 @@ _MARGIN_R = 18.0
 _MARGIN_T = 46.0
 _MARGIN_B = 64.0
 
+# The columns every table starts with; evolve writes exactly these.
+_GRID_COLUMNS = ("x", "re_psi", "im_psi", "abs_psi", "prob")
 # (figure_tables column, color, dasharray, stroke width) per curve.
 _WAVE_STYLES = (
     ("abs_psi", "#111827", None, 1.6),
@@ -51,7 +54,7 @@ _DENS_STYLES = (
 
 def figure_columns(scenario):
     """Data column names the figure command exports for `scenario`."""
-    columns = ["x", "re_psi", "im_psi", "abs_psi", "prob"]
+    columns = list(_GRID_COLUMNS)
     if "kedensity" in scenario.outputs:
         columns.append("kedensity")
     if "scaled" in scenario.outputs:
@@ -168,8 +171,6 @@ def render_figure(scenario):
         raise ParameterError(
             "figure rendering needs at least one of the outputs psi, prob, scaled"
         )
-
-    from .scenarios import RelativeWindow
 
     recentered = isinstance(scenario.window, RelativeWindow)
     xlabel = "x - <x>_t" if recentered else "x"

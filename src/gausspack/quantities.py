@@ -165,6 +165,10 @@ class PacketParams:
         # an infinite or zero scale turns into a division by zero later.
         _require_positive("beta = alpha * hbar", self.beta)
         _require_positive("t0 = mass * hbar * alpha**2", self.t0)
+        if self.beta * self.beta == 0.0:  # the closed forms divide by beta**2
+            raise ParameterError(
+                "beta = alpha * hbar must be at least 1.6e-162, or its square "
+                f"underflows to 0, got {_shown(self.beta)}")
 
     @property
     def hbar(self):

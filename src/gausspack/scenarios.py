@@ -42,6 +42,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from ._textio import dumps_stable
 from .analytic import _spread_window
 from .errors import ParameterError, ScenarioError, UnknownPresetError
 from .kedensity import extremal_p0
@@ -331,10 +332,8 @@ def load_scenario(source, lax=False):
     return _build_scenario(_parse_document(source), lax)
 
 
-def serialize_scenario(scenario):
-    """Render a Scenario back to its canonical JSON text (version 1)."""
-    from ._textio import dumps_stable
-
+def _scenario_dict(scenario):
+    """A Scenario as its canonical document: the dict serialize_scenario writes."""
     doc = {"version": FORMAT_VERSION, "name": scenario.name,
            "system": scenario.system.kind.value}
     field = _SHAPE_FIELD.get(scenario.system.kind)
@@ -349,7 +348,12 @@ def serialize_scenario(scenario):
         doc["window"] = {"unit": "dx_t", "halfwidth": scenario.window.halfwidth}
     doc["outputs"] = sorted(scenario.outputs)
     doc["grid_n"] = scenario.grid_n
-    return dumps_stable(doc)
+    return doc
+
+
+def serialize_scenario(scenario):
+    """Render a Scenario back to its canonical JSON text (version 1)."""
+    return dumps_stable(_scenario_dict(scenario))
 
 
 _FIG2 = {

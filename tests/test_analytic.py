@@ -329,6 +329,17 @@ def test_squares_just_below_the_float_range_are_accepted():
     assert math.isfinite(g.moments_at(g.free_particle(), g.make_params(hbar=1e154), 0.0).kinetic)
 
 
+@pytest.mark.parametrize("t", [1e-300, -1e-300])
+def test_oscillator_phase_that_underflows_is_zero(t):
+    """The envelope's phase, gamma*sin/(beta*cos), is below the smallest
+    float here: it rounds to a signed zero instead of raising OverflowError."""
+    sho, params = g.harmonic_oscillator(1.0), g.make_params(hbar=1e150, alpha=1e-10)
+    state = g.state_at(sho, params, t)
+    assert state.const_phase == 0.0
+    assert all(np.isfinite(complex(v)) for v in state)
+    assert all(math.isfinite(v) for v in g.moments_at(sho, params, t))
+
+
 def test_moments_kinetic_is_total_kinetic():
     """moments_at and total_kinetic evaluate one formula: equal bit for bit."""
     rng = np.random.default_rng(29)

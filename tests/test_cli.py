@@ -133,6 +133,19 @@ def test_fractions_json(run_cli):
     assert max(r_plus) > 0.85  # strong transfer near an eighth period
 
 
+@pytest.mark.parametrize("command", ["evolve", "fractions"])
+def test_json_scenario_block_is_serialize_scenario(command, run_cli):
+    """A document's scenario block is serialize_scenario's text, signed
+    zeros included, as in the rows."""
+    doc = json.dumps({"version": 1, "name": "signed-zero", "system": "free",
+                      "x0": -0.0, "times": [-0.0, 1.0], "grid_n": 16})
+    code, out, _ = run_cli(command, "--scenario", doc, "--format", "json")
+    assert code == 0
+    scenario = g.serialize_scenario(g.load_scenario(doc)).rstrip("\n")
+    assert '"x0":-0,' in scenario and '"times":[-0,1]' in scenario
+    assert out.startswith(f'{{"version":1,"command":"{command}","scenario":{scenario},')
+
+
 def test_figure_svg_matches_golden(run_cli):
     code, out, _ = run_cli("figure", "--preset", "fig2-middle")
     assert code == 0

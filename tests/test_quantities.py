@@ -92,14 +92,24 @@ def test_packet_params_requires_consistent_derived_fields():
                        beta=1.0, t0=3.0)
 
 
-@pytest.mark.parametrize("kwargs", [
-    pytest.param({"alpha": 1e154, "mass": 1e20}, id="t0-overflows"),
-    pytest.param({"alpha": 1e-200}, id="t0-underflows"),
+@pytest.mark.parametrize("kwargs, name", [
+    pytest.param({"alpha": 1e154, "mass": 1e20}, "t0", id="t0-overflows"),
+    pytest.param({"alpha": 1e-200}, "t0", id="t0-underflows"),
+    # beta = 1e-200 and t0 = 1e-300 are positive, but beta**2 is 0.0
+    pytest.param({"alpha": 1e-100, "hbar": 1e-100}, "beta", id="beta-square-underflows"),
 ])
-def test_packet_params_refuse_infinite_or_zero_derived_scales(kwargs):
-    # Each input is valid on its own; t0 = mass*hbar*alpha**2 is inf or 0.
-    with pytest.raises(g.ParameterError, match="t0"):
+def test_packet_params_refuse_infinite_or_zero_derived_scales(kwargs, name):
+    # Each input is valid on its own; t0 = mass*hbar*alpha**2 is inf or 0,
+    # or beta = alpha*hbar has no nonzero square to divide by.
+    with pytest.raises(g.ParameterError, match=f"^{name} = "):
         g.make_params(**kwargs)
+
+
+def test_a_subnormal_beta_square_is_accepted():
+    params = g.make_params(alpha=1e-80, hbar=1e-80)
+    assert 0.0 < params.beta**2 < 2.2e-308
+    assert math.isfinite(g.state_at(g.free_particle(), params, 1.0).width)
+    assert math.isfinite(g.total_kinetic(g.harmonic_oscillator(1.0), params, 1.0))
 
 
 def test_params_are_frozen():
