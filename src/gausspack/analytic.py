@@ -154,14 +154,9 @@ class Moments(NamedTuple):
     energy: float
 
 
-def _drift_force(system):
-    """Constant force of a drifting system: zero for the free particle."""
-    return 0.0 if system.force is None else system.force
-
-
 def _drifting_state(params, t, force):
     """Free and uniformly accelerated packets share one solution family."""
-    hbar, mass = params.constants.hbar, params.constants.mass
+    hbar, mass = params.hbar, params.mass
     beta, t0, p0, x0 = params.beta, params.t0, params.p0, params.x0
 
     z = complex(1.0, t / t0)
@@ -236,7 +231,7 @@ _OSCILLATORS = {
 
 def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
     """Harmonic and inverted oscillator packets share one solution family."""
-    hbar, mass = params.constants.hbar, params.constants.mass
+    hbar, mass = params.hbar, params.mass
     beta, p0 = params.beta, params.p0
 
     gamma = hbar / (mass * omega * beta)
@@ -294,7 +289,7 @@ def _terms(system, params, t):
     if params.x0 != 0.0:
         raise ParameterError(f"{kind.value} solutions are implemented for x0 = 0 only")
     sign, factors = oscillator
-    omega = getattr(system, _SHAPE_FIELD[kind])
+    omega = system.shape
     z = omega * t
     return omega, sign, *(factors(z) if type(z) is float else _per_element(factors, z))
 
@@ -303,7 +298,7 @@ def state_at(system, params, t):
     """Closed-form PacketState of `system` with initial `params` at time t."""
     t, terms = _checked(system, params, t)
     if terms is None:
-        return _drifting_state(params, t, _drift_force(system))
+        return _drifting_state(params, t, system.shape)
     return _oscillator_state(params, t, *terms)
 
 
@@ -324,9 +319,9 @@ def total_kinetic(system, params, t):
 
 def _kinetic(system, params, t, terms):
     """total_kinetic after the input gate (_checked or _checked_times)."""
-    mass = params.constants.mass
+    mass = params.mass
     if terms is None:
-        p_t = params.p0 + _drift_force(system) * t
+        p_t = params.p0 + system.shape * t
         return (p_t * p_t + 1.0 / (2.0 * params.alpha**2)) / (2.0 * mass)
     omega, _, _, grow2, c, s = terms
     beta = params.beta
@@ -335,7 +330,7 @@ def _kinetic(system, params, t, terms):
     except OverflowError:
         _require_squarable(_SHAPE_FIELD[system.kind], omega)
         raise
-    e_kin0 = (params.p0**2 + params.constants.hbar**2 / (2.0 * beta**2)) / (2.0 * mass)
+    e_kin0 = (params.p0**2 + params.hbar**2 / (2.0 * beta**2)) / (2.0 * mass)
     return grow2 * (e_kin0 * c * c + e_pot0 * s * s)
 
 
@@ -343,9 +338,9 @@ def moments_at(system, params, t):
     """Closed-form expectation values at time t."""
     t, terms = _checked(system, params, t)
     kinetic = _kinetic(system, params, t, terms)  # the oscillators' omega**2 gate
-    hbar, mass = params.constants.hbar, params.constants.mass
+    hbar, mass = params.hbar, params.mass
     beta, p0 = params.beta, params.p0
-    force = _drift_force(system)
+    force = system.shape  # read by the drifting branches only
     state = (_drifting_state(params, t, force) if terms is None
              else _oscillator_state(params, t, *terms))
     try:

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from ._textio import dumps_stable, render_csv
+from ._textio import _is_block, _require_finite, dumps_stable, render_csv
 from .errors import (
     AccuracyError,
     BoundaryError,
@@ -135,11 +135,19 @@ def _table_paths(path, count):
 
 def _write(args, command, body, tables):
     """Write one JSON document, body after the version and command keys,
-    or each (columns, rows) table as one CSV file at _table_paths' paths."""
+    or each (columns, rows) table as one CSV file at _table_paths' paths.
+
+    Every float block is checked before the first file is opened, so a
+    non-finite value leaves no partial run of files behind.
+    """
     if args.format == "json":
         _emit(dumps_stable({"version": 1, "command": command, **body}), args.out)
         return
-    for (columns, rows), path in zip(tables, _table_paths(args.out, len(tables))):
+    paths = _table_paths(args.out, len(tables))
+    for _, rows in tables:
+        if _is_block(rows):
+            _require_finite(rows)
+    for (columns, rows), path in zip(tables, paths):
         _emit(render_csv(columns, rows), path)
 
 
@@ -152,10 +160,13 @@ def _grids(scenario, tables):
 
 
 def cmd_evolve(args):
+    if args.combined and args.format == "json":
+        raise ScenarioError("--combined stacks the CSV tables; it cannot be used "
+                            "with --format json")
     scenario = _load(args)
     tables = figure_tables(scenario, list(_GRID_COLUMNS))
     body, csv_tables = _grids(scenario, tables)
-    if args.combined and args.format == "csv":
+    if args.combined:
         stacked = np.vstack([np.column_stack((np.full(len(rows), t), rows))
                              for t, _, rows in tables])
         csv_tables = [(["t", *_GRID_COLUMNS], stacked)]

@@ -64,3 +64,5 @@ class ScenarioError(GausspackError, ValueError):
 
 class UnknownPresetError(GausspackError, KeyError):
     """A preset name was not recognized."""
+
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it

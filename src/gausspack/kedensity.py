@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import (
-    _OSCILLATORS, _checked, _checked_times, _drift_force, _kinetic, _per_element,
+    _OSCILLATORS, _checked, _checked_times, _kinetic, _per_element,
     _prob_at_offset, state_at, total_kinetic,
 )
 from .errors import ParameterError
@@ -86,7 +86,7 @@ def kinetic_density(system, params, x, t):
     square = 4.0 * abs(a) ** 2 * u
     square *= u
     poly += square
-    np.multiply(params.constants.hbar**2 / (2.0 * params.constants.mass), poly, out=poly)
+    np.multiply(params.hbar**2 / (2.0 * params.mass), poly, out=poly)
     poly *= _prob_at_offset(u, state.width, square)
     return float(poly[0]) if np.ndim(x) == 0 else poly
 
@@ -97,18 +97,18 @@ def _split_delta(system, params, t, terms):
     t and terms come from _checked or _checked_times.
     """
     p0 = params.p0
-    mass = params.constants.mass
+    mass = params.mass
     hypot = math.hypot if type(t) is float else partial(_per_element, math.hypot)
 
     if terms is None:
         ratio = t / params.t0
         spread = ratio / hypot(1.0, ratio)
-        p_t = p0 + _drift_force(system) * t
+        p_t = p0 + system.shape * t
         return p_t * spread / (2.0 * mass * params.alpha * _SQRT_PI)
 
     omega, sign, _, grow2, c, s = terms
     beta = params.beta
-    gamma = params.constants.hbar / (mass * omega * beta)
+    gamma = params.hbar / (mass * omega * beta)
     env = hypot(beta * c, gamma * s)
     return grow2 * (
         p0 * omega * s * c * c * (gamma * gamma - sign * beta * beta)
@@ -172,7 +172,7 @@ def fraction_limits(system, params):
     if kind is SystemKind.UNIFORM_ACCELERATION:
         return 0.5, 0.5
 
-    omega = getattr(system, _SHAPE_FIELD[kind])
+    omega = system.shape
     gamma = params.hbar / (params.mass * omega * params.beta)
     kappa = gamma * gamma + params.beta**2
     s = p0 / (params.mass * omega)
@@ -193,7 +193,7 @@ def extremal_p0(system, params):
         raise ParameterError(
             "extremal p0 is defined for free and oscillator systems only"
         )
-    omega = _require_squarable(_SHAPE_FIELD[kind], getattr(system, _SHAPE_FIELD[kind]))
+    omega = _require_squarable(_SHAPE_FIELD[kind], system.shape)
     product = _require_squarable("beta*mass*omega", params.beta * params.mass * omega)
     return math.sqrt(product**2 / 2.0 + params.hbar**2 / (2.0 * params.beta**2))
 
@@ -238,5 +238,5 @@ def asymmetry_amplitude(system, params, t):
     t = _require_finite("t", t)
     if system.kind in _OSCILLATORS:
         raise ParameterError("asymmetry amplitude applies to drifting packets only")
-    s = params.alpha * (params.p0 + _drift_force(system) * t)
+    s = params.alpha * (params.p0 + system.shape * t)
     return _TWO_OVER_SQRT_PI * abs(s) / (2.0 * s * s + 1.0)

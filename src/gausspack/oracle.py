@@ -232,8 +232,7 @@ def potential_on_grid(system, constants, xs):
         return np.zeros_like(xs)
     if kind is SystemKind.UNIFORM_ACCELERATION:
         return -system.force * xs
-    field = _SHAPE_FIELD[kind]  # omega, or omega_tilde for the inverted potential
-    omega = _require_squarable(field, getattr(system, field))
+    omega = _require_squarable(_SHAPE_FIELD[kind], system.shape)  # omega or omega_tilde
     return (0.5 if kind is SystemKind.HARMONIC else -0.5) * constants.mass * omega**2 * xs * xs
 
 

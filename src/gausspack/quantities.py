@@ -8,13 +8,13 @@ width 1/alpha centred on p0, localized near x0.  Derived scales are
     dp0   = 1 / (alpha * sqrt(2)) (initial momentum spread)
     dx0   = beta / sqrt(2)        (initial position spread)
 
-All containers are immutable; build them through the factory functions
-so the derived fields stay consistent.
+All containers are immutable.  Each record derives its own fields: a
+PacketParams its scales, a SystemSpec its shape constant.
 """
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ParameterError
@@ -139,44 +139,39 @@ class PhysicalConstants:
 class PacketParams:
     """Initial Gaussian packet parameters plus derived width and time scales.
 
-    beta and t0 are derived fields; construct instances with make_params,
-    which fills them in.  Direct construction with inconsistent derived
-    values is rejected.
+    beta = alpha*hbar and t0 = mass*hbar*alpha**2 are derived here, and
+    hbar and mass are copied from constants, so dataclasses.replace
+    derives them again.
     """
 
     constants: PhysicalConstants
     alpha: float
     x0: float
     p0: float
-    beta: float
-    t0: float
+    beta: float = field(init=False)
+    t0: float = field(init=False)
+    hbar: float = field(init=False, repr=False, compare=False)
+    mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _store_checked(self, "alpha", _require_positive)
+        alpha = _require_squarable("alpha", self.alpha)  # the closed forms square it
         _store_checked(self, "x0", _require_finite)
         _store_checked(self, "p0", _require_finite)
-        for name in ("hbar", "alpha", "p0", "beta"):  # the closed forms square them
-            _require_squarable(name, getattr(self, name))
-        if self.beta != self.alpha * self.constants.hbar:
-            raise ParameterError("beta must equal alpha * hbar; use make_params")
-        if self.t0 != self.constants.mass * self.constants.hbar * self.alpha**2:
-            raise ParameterError("t0 must equal mass * hbar * alpha**2; use make_params")
+        hbar, mass = self.constants.hbar, self.constants.mass
+        _require_squarable("hbar", hbar)
+        _require_squarable("p0", self.p0)
+        beta = _require_squarable("beta", alpha * hbar)
         # Valid inputs can still overflow or underflow these products, and
         # an infinite or zero scale turns into a division by zero later.
-        _require_positive("beta = alpha * hbar", self.beta)
-        _require_positive("t0 = mass * hbar * alpha**2", self.t0)
-        if self.beta * self.beta == 0.0:  # the closed forms divide by beta**2
+        _require_positive("beta = alpha * hbar", beta)
+        t0 = _require_positive("t0 = mass * hbar * alpha**2", mass * hbar * alpha**2)
+        if beta * beta == 0.0:  # the closed forms divide by beta**2
             raise ParameterError(
                 "beta = alpha * hbar must be at least 1.6e-162, or its square "
-                f"underflows to 0, got {_shown(self.beta)}")
-
-    @property
-    def hbar(self):
-        return self.constants.hbar
-
-    @property
-    def mass(self):
-        return self.constants.mass
+                f"underflows to 0, got {_shown(beta)}")
+        for name, value in (("beta", beta), ("t0", t0), ("hbar", hbar), ("mass", mass)):
+            object.__setattr__(self, name, value)
 
     @property
     def dp0(self):
@@ -190,18 +185,8 @@ class PacketParams:
 
 
 def make_params(hbar=1.0, mass=1.0, alpha=1.0, x0=0.0, p0=0.0):
-    """Build a PacketParams with consistent derived beta and t0."""
-    constants = PhysicalConstants(hbar=hbar, mass=mass)
-    hbar, mass = constants.hbar, constants.mass
-    alpha = _require_squarable("alpha", _require_positive("alpha", alpha))
-    return PacketParams(
-        constants=constants,
-        alpha=alpha,
-        x0=x0,
-        p0=p0,
-        beta=alpha * hbar,
-        t0=mass * hbar * alpha**2,
-    )
+    """Build a PacketParams; it derives beta and t0 itself."""
+    return PacketParams(PhysicalConstants(hbar=hbar, mass=mass), alpha, x0, p0)
 
 
 # The SystemSpec field that holds each system's one shape parameter; the
@@ -220,27 +205,30 @@ class SystemSpec:
     kind selects the potential: none, linear (-force*x), harmonic
     (mass*omega^2*x^2/2), or inverted harmonic (-mass*omega_tilde^2*x^2/2).
     Only the field named by the kind may be set; the factory functions
-    below build each system from its parameter alone.
+    below build each system from its parameter alone.  shape holds that
+    parameter's value, 0.0 for the free particle.
     """
 
     kind: SystemKind
     force: float | None = None
     omega: float | None = None
     omega_tilde: float | None = None
+    shape: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.kind, SystemKind):
             raise ParameterError(f"kind must be a SystemKind, got {self.kind!r}")
         needed = _SHAPE_FIELD.get(self.kind)
-        for field in _SHAPE_FIELD.values():
-            if field == needed:
+        for name in _SHAPE_FIELD.values():
+            if name == needed:
                 # A force may point either way; a frequency is positive.
-                check = _require_finite if field == "force" else _require_positive
-                _store_checked(self, field, check)
-            elif getattr(self, field) is not None:
+                check = _require_finite if name == "force" else _require_positive
+                _store_checked(self, name, check)
+            elif getattr(self, name) is not None:
                 raise ParameterError(
-                    f"{self.kind.value} system takes no {field} parameter"
+                    f"{self.kind.value} system takes no {name} parameter"
                 )
+        object.__setattr__(self, "shape", 0.0 if needed is None else getattr(self, needed))
 
 
 def free_particle():

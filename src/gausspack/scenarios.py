@@ -230,7 +230,7 @@ def _build_params(doc, kind, system):
         if kind not in (SystemKind.HARMONIC, SystemKind.INVERTED):
             _fail("beta_over_beta0", "requires an oscillator system")
         ratio = _as_number("beta_over_beta0", doc["beta_over_beta0"])
-        omega = getattr(system, _SHAPE_FIELD[kind])
+        omega = system.shape
         beta0 = oscillator_derived(PhysicalConstants(hbar, mass), omega).beta0
         alpha = ratio * beta0 / hbar
     if alpha <= 0:
@@ -247,7 +247,7 @@ def _build_params(doc, kind, system):
     elif doc["p0"] == "extremal":
         try:
             p0 = extremal_p0(system, base)
-        except Exception as exc:
+        except ParameterError as exc:
             _fail("p0", str(exc))
     else:
         p0 = _as_number("p0", doc["p0"])
@@ -338,7 +338,7 @@ def _scenario_dict(scenario):
            "system": scenario.system.kind.value}
     field = _SHAPE_FIELD.get(scenario.system.kind)
     if field is not None:
-        doc[field] = getattr(scenario.system, field)
+        doc[field] = scenario.system.shape
     p = scenario.params
     doc.update(hbar=p.hbar, mass=p.mass, x0=p.x0, alpha=p.alpha, p0=p.p0)
     doc["times"] = list(scenario.times)

@@ -90,7 +90,7 @@ def _params_dict(system, params, t):
     }
     field = _SHAPE_FIELD.get(system.kind)
     if field is not None:
-        doc[field] = getattr(system, field)
+        doc[field] = system.shape
     return doc
 
 

@@ -32,6 +32,18 @@ def test_unknown_preset(run_cli):
     assert "fig99" in err and "fig2-middle" in err  # lists the valid names
 
 
+@pytest.mark.parametrize("source", [
+    ["--preset", "nope"],
+    ["--scenario", '{"version": 1, "preset": "nope"}'],
+])
+def test_unknown_preset_message_is_unquoted(source, capsys):
+    assert cli.main(["evolve", *source]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("gausspack: error: unknown preset 'nope'; valid names: "
+                   "fig1, fig2-bottom, fig2-middle, fig2-top, fig3, fig4\n")
+
+
 def test_bad_format_choice(run_cli):
     code, _, err = run_cli("evolve", "--preset", "fig1", "--format", "svg")
     assert code == 64
@@ -64,6 +76,17 @@ def test_evolve_multiple_times_needs_out_or_combined(run_cli):
     code, _, err = run_cli("evolve", "--preset", "fig1")
     assert code == 64
     assert "--combined" in err
+
+
+@pytest.mark.parametrize("out", ["-", "run.json"])
+def test_evolve_combined_json_is_refused(out, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["evolve", "--preset", "fig1", "--combined", "--format", "json",
+                     "--out", out])
+    stdout, err = capsys.readouterr()
+    assert code == 64 and stdout == ""
+    assert err.startswith("gausspack: error: --combined ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evolve_combined_csv(run_cli):
@@ -384,6 +407,20 @@ def test_non_finite_table_value_is_a_numerical_error(fmt, monkeypatch, capsys,
     assert code == 2
     assert err.startswith("gausspack: numerical error:") and err.count("\n") == 1
     assert not target.exists()
+
+
+def test_non_finite_later_table_leaves_no_file(monkeypatch, capsys, tmp_path):
+    def grid_with_nan(system, params, t, window, n):
+        grid = g.sample_grid(system, params, t, window, n)
+        if t == 4.0:  # the last of fig1's five times
+            grid = dataclasses.replace(grid, prob=np.full_like(grid.prob, np.nan))
+        return grid
+
+    monkeypatch.setattr(figures, "sample_grid", grid_with_nan)
+    code = cli.main(["evolve", "--preset", "fig1", "--out", str(tmp_path / "run.csv")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("gausspack: numerical error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_overflowing_frequency_is_a_usage_error(capsys):

@@ -82,14 +82,17 @@ def test_parameters_reject_bools_and_non_reals(value):
             factory(value)
 
 
-def test_packet_params_requires_consistent_derived_fields():
-    constants = g.PhysicalConstants(hbar=1.0, mass=1.0)
-    with pytest.raises(g.ParameterError):
-        g.PacketParams(constants=constants, alpha=1.0, x0=0.0, p0=0.0,
-                       beta=2.0, t0=1.0)
-    with pytest.raises(g.ParameterError):
-        g.PacketParams(constants=constants, alpha=1.0, x0=0.0, p0=0.0,
-                       beta=1.0, t0=3.0)
+def test_packet_params_derive_their_scales():
+    constants = g.PhysicalConstants(hbar=0.5, mass=3.0)
+    # even the values it would derive itself: beta = 0.5, t0 = 1.5
+    for derived in ({"beta": 0.5}, {"t0": 1.5}, {"beta": 0.5, "t0": 1.5}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            g.PacketParams(constants, 1.0, 0.0, 0.0, **derived)
+    params = g.PacketParams(constants, 1.0, 0.0, 0.0)
+    wider = dataclasses.replace(params, alpha=2.0)
+    assert wider.beta == 2.0 * 0.5 and wider.t0 == 3.0 * 0.5 * 2.0**2
+    assert wider == g.make_params(hbar=0.5, mass=3.0, alpha=2.0)
+    assert (params.hbar, params.mass) == (constants.hbar, constants.mass)
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -127,6 +130,16 @@ def test_system_factories_and_kinds():
     assert g.SystemKind.UNIFORM_ACCELERATION.value == "accel"
     assert g.SystemKind.HARMONIC.value == "sho"
     assert g.SystemKind.INVERTED.value == "inverted"
+
+
+def test_system_shape_is_its_one_constant():
+    systems = (g.free_particle(), g.uniform_acceleration(-0.5),
+               g.harmonic_oscillator(2), g.inverted_oscillator(0.3))
+    assert [s.shape for s in systems] == [0.0, -0.5, 2.0, 0.3]
+    assert type(systems[2].shape) is float
+    # not part of the record's identity: repr and equality are the fields'
+    assert "shape" not in repr(systems[1])
+    assert dataclasses.replace(systems[2], omega=3.0).shape == 3.0
 
 
 def test_system_spec_validation():

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -200,6 +201,32 @@ def test_extremal_momentum_in_document():
     scenario = g.load_scenario(json.dumps(doc))
     assert scenario.params.p0 == g.extremal_p0(g.free_particle(),
                                                g.make_params(alpha=2.0))
+
+
+def test_extremal_momentum_of_an_accelerated_packet_is_a_p0_error():
+    doc = {"version": 1, "name": "x", "system": "accel", "force": 0.5,
+           "p0": "extremal", "times": [0.0]}
+    with pytest.raises(g.ScenarioError) as info:
+        g.load_scenario(json.dumps(doc))
+    assert info.value.field == "p0"
+
+
+def test_beta_width_key():
+    base = {"version": 1, "name": "b", "system": "free", "times": [0.0]}
+    scenario = g.load_scenario(json.dumps({**base, "beta": 2.0, "hbar": 0.5}))
+    assert scenario.params.alpha == 4.0 and scenario.params.beta == 2.0
+    for bad in (0.0, -1.0):
+        with pytest.raises(g.ScenarioError) as info:
+            g.load_scenario(json.dumps({**base, "beta": bad}))
+        assert info.value.field == "beta"
+    # alpha = beta/hbar is what loads; beta = alpha*hbar may then sit one
+    # ulp from the given value, as for beta = 0.5, hbar = 1.9.
+    rng = random.Random(15)
+    for _ in range(200):
+        beta, hbar = rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
+        params = g.load_scenario(json.dumps({**base, "beta": beta, "hbar": hbar})).params
+        assert params.alpha == beta / hbar
+        assert abs(params.beta - beta) <= math.ulp(beta)
 
 
 def test_window_resolution():
