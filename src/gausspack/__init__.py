@@ -5,8 +5,8 @@ Schrödinger equation for four one-dimensional systems — free particle,
 uniform acceleration, harmonic oscillator, inverted oscillator — and
 the kinetic energy density they carry, including its split into the
 halves ahead of and behind the moving packet center.  An independent
-numerical oracle (quadrature, finite differences, split-step
-propagation) validates every closed form, and a small CLI exports
+numerical oracle (sums and FFT derivatives on a periodic grid,
+split-step propagation) validates every closed form, and a small CLI exports
 tables and figures deterministically.
 """
 

@@ -69,9 +69,10 @@ def format_rows(block, value_fmt, value_sep, row_sep):
     Each value is rendered with the %-format `value_fmt`; values in a row
     are joined by `value_sep` and rows by `row_sep`.  The chunks are
     consecutive slices of one string, so ``"".join`` gives the whole
-    table.  The caller checks finiteness where it matters, before any fork.
-    A helper's rows are formatted here if it fails before sending any.
+    table.  A NaN or infinity in the block raises NonFiniteError before any
+    fork.  A helper's rows are formatted here if it fails before sending any.
     """
+    _require_finite(block)
     row_fmt = value_sep.join([value_fmt] * block.shape[1])
     helpers = 0  # serial without os.fork, with one usable CPU or beside other threads
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
@@ -126,7 +127,6 @@ def _write(obj, out):
             _write(value, out)
         out.write("}")
     elif _is_block(obj):
-        _require_finite(obj)
         out.write("[[")
         out.writelines(format_rows(obj, "%.17g", ",", "],["))
         out.write("]]")
@@ -169,7 +169,6 @@ def render_csv(columns, rows):
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     if _is_block(rows):
-        _require_finite(rows)
         out.writelines(format_rows(rows, "%.17g", ",", "\n"))
         out.write("\n")
         return out.getvalue()

@@ -22,7 +22,8 @@ Numerical care taken here:
   analytically here into the PacketState form, whose coefficients stay
   finite at all t because the complex envelope A(t) = beta*cos(omega*t)
   + i*(hbar/(mass*omega*beta))*sin(omega*t) never vanishes.  The
-  prefactor phase -arg(A)/2 uses the principal branch.
+  prefactor phase is -arg(A)/2 with arg(A) continued in t, so psi at one
+  period is -psi at t = 0 (the oscillator's Maslov phase).
 * The inverted oscillator grows like exp(omega_tilde*t); times with
   |omega_tilde*t| > 300 are rejected, and beyond |omega_tilde*t| > 30
   the hyperbolic functions are evaluated with their common exponential
@@ -47,7 +48,6 @@ __all__ = [
     "Moments",
     "state_at",
     "eval_psi",
-    "probability_density",
     "moments_at",
     "total_kinetic",
     "sample_grid",
@@ -247,8 +247,11 @@ def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
     )
     lin = p0 * grow * c / hbar
     # math.atan2 rounds a phase that underflows to 0; cmath.phase raises there.
-    const = (-p0 * center * grow * c / (2.0 * hbar)
-             - 0.5 * math.atan2(envelope.imag, envelope.real))
+    arg = math.atan2(envelope.imag, envelope.real)
+    const = -p0 * center * grow * c / (2.0 * hbar) - 0.5 * arg
+    # arg(A) continued in t: the harmonic A winds once around 0 per period.
+    if sign > 0 and round((omega * t - arg) / (2.0 * math.pi)) % 2:
+        const -= math.pi
     norm = 1.0 / math.sqrt(_SQRT_PI * width)
     return PacketState(t, center, width, quad, lin, const, norm)
 
@@ -305,11 +308,6 @@ def state_at(system, params, t):
 def eval_psi(system, params, x, t):
     """psi(x, t); x may be a scalar or ndarray."""
     return state_at(system, params, t).psi(x)
-
-
-def probability_density(system, params, x, t):
-    """|psi(x, t)|**2 in closed form; x may be a scalar or ndarray."""
-    return state_at(system, params, t).prob(x)
 
 
 def total_kinetic(system, params, t):

@@ -1,12 +1,12 @@
 """Independent numerical machinery used to cross-check the closed forms.
 
 Nothing in this module looks at the analytic solutions beyond their
-parameter bundles: integrals are done by adaptive quadrature, spatial
-derivatives by high-order finite differences, momentum-space amplitudes
-by FFT with explicit phase bookkeeping, and time evolution by a
-symmetric split-step propagator.  Agreement between these routines and
-the closed-form expressions is the package's primary correctness
-evidence.
+parameter bundles and sampled values of psi: integrals are done by
+adaptive quadrature or by sums on a periodic grid, second derivatives by
+fourth-order finite differences, momentum-space amplitudes by FFT with
+explicit phase bookkeeping, and time evolution by a symmetric split-step
+propagator.  Agreement between these routines and the closed-form
+expressions is the package's primary correctness evidence.
 
 Parameters
 ----------
@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analytic import _spread_window
+from .analytic import _spread_window, state_at
 from .errors import AccuracyError, BoundaryError, ParameterError, ResolutionError
 from .quantities import (
     PhysicalConstants,
@@ -55,7 +55,6 @@ __all__ = [
     "integrate",
     "packet_window",
     "half_windows",
-    "fd_derivative",
     "fd_second_derivative",
     "momentum_transform",
     "potential_on_grid",
@@ -127,17 +126,6 @@ def half_windows(system, params, t):
     return (lo, mean), (mean, hi)
 
 
-def fd_derivative(psi, x, t, h=1e-3):
-    """Fourth-order central difference of psi(x, t) in x."""
-    h = _require_positive("h", h)
-    return (
-        -psi(x + 2.0 * h, t)
-        + 8.0 * psi(x + h, t)
-        - 8.0 * psi(x - h, t)
-        + psi(x - 2.0 * h, t)
-    ) / (12.0 * h)
-
-
 def fd_second_derivative(psi, x, t, h=1e-3):
     """Fourth-order central difference of the second x-derivative."""
     h = _require_positive("h", h)
@@ -171,11 +159,9 @@ def momentum_transform(xs, psi, hbar=1.0):
     dx = xs[1] - xs[0]
     if not np.allclose(np.diff(xs), dx, rtol=1e-12, atol=0.0):
         raise ParameterError("grid must be uniformly spaced")
-    n = xs.size
-    ps = np.fft.fftshift(2.0 * math.pi * hbar * np.fft.fftfreq(n, d=dx))
-    raw = np.fft.fft(psi)
-    phase = np.exp(-1j * np.fft.fftshift(np.fft.fftfreq(n, d=dx)) * 2.0 * math.pi * xs[0])
-    phi = (dx / math.sqrt(2.0 * math.pi * hbar)) * phase * np.fft.fftshift(raw)
+    ps = np.fft.fftshift(2.0 * math.pi * hbar * np.fft.fftfreq(xs.size, d=dx))
+    phase = np.exp(-1j * ps * (xs[0] / hbar))  # the grid starts at xs[0], not 0
+    phi = (dx / math.sqrt(2.0 * math.pi * hbar)) * phase * np.fft.fftshift(np.fft.fft(psi))
     peak = float(np.max(np.abs(phi)))
     tail = float(max(abs(phi[0]), abs(phi[-1])))
     if peak > 0.0 and tail > _ALIAS_RATIO * peak:
@@ -184,6 +170,40 @@ def momentum_transform(xs, psi, hbar=1.0):
             f"{peak:.3e}; refine the spatial grid"
         )
     return ps, phi
+
+
+def _periodic_grid(lo, hi, n):
+    """n points spaced (hi - lo)/n from lo, hi excluded: one period of a grid."""
+    return lo + (hi - lo) * np.arange(n) / n
+
+
+def _packet_grid(system, params, t, n):
+    """(xs, psi, dx): psi at t on n periodic points over packet_window.
+
+    psi is e**-36 of its peak at the edges, so grid sums converge
+    exponentially in n; a grid too coarse for psi's spectrum fails
+    momentum_transform's tail test with a ResolutionError.
+    """
+    lo, hi = packet_window(system, params, t)
+    xs = _periodic_grid(lo, hi, n)
+    psi = state_at(system, params, t).psi(xs)
+    momentum_transform(xs, psi, params.hbar)
+    return xs, psi, (hi - lo) / n
+
+
+def _upper_half_integral(f, xs, dx, split):
+    """Integral over [split, xs[0] + n*dx) of f's trigonometric interpolant.
+
+    With D = fft(f)/n, wavenumbers k and s = split - xs[0] it is exactly
+    D_0*(n*dx - s) + sum over k != 0 of D_k*(1 - exp(i*k*s))/(i*k).  n is
+    even; the Nyquist mode, whose interpolant is not unique, is dropped.
+    """
+    n, s = len(xs), split - xs[0]
+    coeffs = np.fft.fft(f) / n
+    coeffs[n // 2] = 0.0
+    k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)[1:]  # k = 0 is the D_0 term
+    tail = np.sum(coeffs[1:] * (1.0 - np.exp(1j * k * s)) / (1j * k))
+    return float((coeffs[0] * (n * dx - s) + tail).real)
 
 
 # Yoshida's triple-jump weights: three Strang substeps of w1*dt, w0*dt,
@@ -220,8 +240,7 @@ class PropagatorSpec:
 
     def grid(self):
         """Periodic spatial grid (endpoint excluded)."""
-        lo, hi = self.domain
-        return lo + (hi - lo) * np.arange(self.n_grid) / self.n_grid
+        return _periodic_grid(*self.domain, self.n_grid)
 
 
 def potential_on_grid(system, constants, xs):

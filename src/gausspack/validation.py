@@ -1,17 +1,17 @@
 """Analytic-versus-oracle check suite.
 
 Each check compares a closed-form quantity against an independent
-numerical estimate (adaptive quadrature, finite differences, or the
-split-step propagator) and records both values plus absolute and
-relative errors.  The default suite covers, for each of the four
-systems:
+numerical estimate (sums on one periodic packet grid, exact up to
+rounding, or the split-step propagator) and records both values plus
+absolute and relative errors.  The default suite covers, for each of the
+four systems:
 
-* ``normalization-*`` — quadrature of the probability density is 1;
-* ``ibp-*`` — the second-derivative form -(hbar^2/2m) Int psi* psi''
-  (psi'' by fourth-order finite differences) matches the closed-form
-  total kinetic energy, i.e. the integration-by-parts identity holds;
-* ``halves-*`` — quadrature of the kinetic energy density over the
-  right half-line matches the closed-form T+;
+* ``normalization-*`` — the grid sum of |psi|**2 dx is 1;
+* ``ibp-*`` — the second-derivative form -(hbar^2/2m) sum psi* psi'' dx
+  (psi'' by FFT) matches the closed-form total kinetic energy, i.e. the
+  integration-by-parts identity holds;
+* ``halves-*`` — the exact integral of the kinetic energy density's
+  trigonometric interpolant above the packet center matches T+;
 * ``splitstep-*`` — split-step propagation from t=0 matches the
   analytic state in L2 norm;
 
@@ -36,16 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import _spread_window, eval_psi, state_at
+from .analytic import _spread_window, eval_psi, moments_at
 from .kedensity import half_energies, kinetic_density, total_kinetic
-from .oracle import (
-    PropagatorSpec,
-    fd_second_derivative,
-    half_windows,
-    integrate,
-    packet_window,
-    propagate,
-)
+from .oracle import PropagatorSpec, _packet_grid, _upper_half_integral, propagate
 from .quantities import (
     SystemKind,
     _SHAPE_FIELD,
@@ -80,23 +73,16 @@ _REPORT_KEYS = tuple("pass" if f == "passed" else f for f in CheckResult._fields
 
 
 def _params_dict(system, params, t):
-    doc = {
-        "hbar": params.hbar,
-        "mass": params.mass,
-        "alpha": params.alpha,
-        "x0": params.x0,
-        "p0": params.p0,
-        "t": t,
-    }
+    doc = {"hbar": params.hbar, "mass": params.mass, "alpha": params.alpha,
+           "x0": params.x0, "p0": params.p0, "t": t}
     field = _SHAPE_FIELD.get(system.kind)
     if field is not None:
         doc[field] = system.shape
     return doc
 
 
-# One representative (system, params, t) per system, shared by the
-# quadrature-style checks.  Times are O(1) so every closed form is well
-# inside its numerically comfortable range.
+# One representative (system, params, t) per system, shared by all but the
+# reduction checks.  Times are O(1), well inside every closed form's range.
 def _cases():
     return (
         (free_particle(), make_params(alpha=1.0, x0=0.3, p0=1.2), 1.5),
@@ -127,28 +113,28 @@ _SPLITSTEP = {
 }
 
 
+# Points of the normalization and ibp grids; halves samples twice as many.
+_GRID_N = 256
+
+
 def _check_normalization(system, params, t):
-    window = packet_window(system, params, t)
-    state = state_at(system, params, t)
-    return 1.0, integrate(state.prob, window).value, 1e-9
+    _, psi, dx = _packet_grid(system, params, t, _GRID_N)
+    return 1.0, float(np.sum(np.abs(psi) ** 2) * dx), 1e-9
 
 
 def _check_ibp(system, params, t):
-    window = packet_window(system, params, t)
-    state = state_at(system, params, t)
+    _, psi, dx = _packet_grid(system, params, t, _GRID_N)
+    k = 2.0 * math.pi * np.fft.fftfreq(_GRID_N, d=dx)
+    d2psi = np.fft.ifft(-k * k * np.fft.fft(psi))
     scale = params.hbar**2 / (2.0 * params.mass)
-
-    def integrand(x):
-        d2psi = fd_second_derivative(lambda y, _: state.psi(y), x, t)
-        return (-scale * np.conj(state.psi(x)) * d2psi).real
-
-    oracle = integrate(integrand, window).value
+    oracle = -scale * float(np.sum(np.conj(psi) * d2psi).real) * dx
     return total_kinetic(system, params, t), oracle, 1e-8
 
 
 def _check_halves(system, params, t):
-    _, upper = half_windows(system, params, t)
-    oracle = integrate(lambda x: kinetic_density(system, params, x, t), upper).value
+    xs, _, dx = _packet_grid(system, params, t, 2 * _GRID_N)
+    density = kinetic_density(system, params, xs, t)
+    oracle = _upper_half_integral(density, xs, dx, moments_at(system, params, t).mean_x)
     return half_energies(system, params, t).plus, oracle, 1e-8
 
 
@@ -161,8 +147,7 @@ def _check_splitstep(system, params, t):
     xs = spec.grid()
     numeric = propagate(eval_psi(system, params, xs, 0.0), spec, t)
     exact = eval_psi(system, params, xs, t)
-    dx = xs[1] - xs[0]
-    distance = math.sqrt(float(np.sum(np.abs(numeric - exact) ** 2) * dx))
+    distance = math.sqrt(float(np.sum(np.abs(numeric - exact) ** 2) * (xs[1] - xs[0])))
     return 0.0, distance, 1e-6
 
 
@@ -170,9 +155,7 @@ def _check_reduction(system, params, t):
     free = free_particle()
     lo, _, hi = _spread_window(free, params, t, 6.0)
     xs = np.linspace(lo, hi, 801)
-    diff = np.abs(
-        eval_psi(system, params, xs, t) - eval_psi(free, params, xs, t)
-    )
+    diff = np.abs(eval_psi(system, params, xs, t) - eval_psi(free, params, xs, t))
     return 0.0, float(np.max(diff)), 1e-5
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gausspack as g
-from gausspack.oracle import fd_derivative, fd_second_derivative
+from gausspack.oracle import _packet_grid, fd_second_derivative
 
 from conftest import FOUR_CASES
 
@@ -58,15 +58,14 @@ def test_states_solve_schrodinger_equation(four_cases):
             assert abs(residual) / scale < 1e-6
 
 
-def test_closed_form_derivative_matches_fd(four_cases):
-    rng = np.random.default_rng(3)
+def test_closed_form_derivative_matches_spectral(four_cases):
     for system, params, t in four_cases:
+        xs, psi, dx = _packet_grid(system, params, t, 256)
+        k = 2.0 * math.pi * np.fft.fftfreq(len(xs), d=dx)
+        spectral = np.fft.ifft(1j * k * np.fft.fft(psi))
         state = g.state_at(system, params, t)
-        m = g.moments_at(system, params, t)
-        for _ in range(25):
-            x = float(m.mean_x + rng.uniform(-3, 3) * math.sqrt(m.var_x))
-            fd = fd_derivative(lambda xx, tt: state.psi(xx), x, t, 1e-3)
-            assert abs(state.dpsi_dx(x) - fd) < 1e-6
+        dpsi = state.dpsi_dx(xs)
+        assert np.max(np.abs(dpsi - spectral)) < 1e-12 * np.max(np.abs(dpsi))
 
 
 def test_normalization_all_systems(four_cases):
@@ -74,7 +73,7 @@ def test_normalization_all_systems(four_cases):
         m = g.moments_at(system, params, t)
         sd = math.sqrt(m.var_x)
         xs = np.linspace(m.mean_x - 10 * sd, m.mean_x + 10 * sd, 20001)
-        prob = g.probability_density(system, params, xs, t)
+        prob = g.state_at(system, params, t).prob(xs)
         assert abs(np.trapezoid(prob, xs) - 1.0) < 1e-9
 
 
@@ -132,8 +131,8 @@ def test_sho_periodicity():
     tau = 2.0 * math.pi / 1.3
     xs = np.linspace(-4, 4, 201)
     for t in (0.0, 0.4, 1.1):
-        a = g.probability_density(system, params, xs, t)
-        b = g.probability_density(system, params, xs, t + tau)
+        a = g.state_at(system, params, t).prob(xs)
+        b = g.state_at(system, params, t + tau).prob(xs)
         assert np.max(np.abs(a - b)) < 1e-10
         ma = g.moments_at(system, params, t)
         mb = g.moments_at(system, params, t + tau)
@@ -148,6 +147,49 @@ def test_sho_coherent_width_constant():
     for t in (0.0, 0.3, 1.0, 2.9):
         m = g.moments_at(system, params, t)
         assert abs(m.var_x - 0.5) < 1e-14
+
+
+# A harmonic packet with no special symmetry, hbar and mass not 1.
+_SHO = g.harmonic_oscillator(1.3)
+_SHO_PARAMS = g.make_params(hbar=0.8, mass=1.2, alpha=0.7, p0=1.1)
+_SHO_TAU = 2.0 * math.pi / 1.3
+
+
+def test_sho_revival_and_parity_identities():
+    """psi(tau) = -psi(0), psi(2 tau) = psi(0), psi(x, tau/2) = -i psi(-x, 0).
+
+    The Mehler kernel carries the Maslov phase -i per half period, so psi
+    changes sign over one period and returns only after two.
+    """
+    xs = np.linspace(-4.0, 4.0, 201)
+    psi0 = g.eval_psi(_SHO, _SHO_PARAMS, xs, 0.0)
+    mirrored = g.eval_psi(_SHO, _SHO_PARAMS, -xs, 0.0)
+    for periods, expected in ((1.0, -psi0), (2.0, psi0), (-1.0, -psi0),
+                              (0.5, -1j * mirrored), (1.5, 1j * mirrored),
+                              (-0.5, 1j * mirrored)):
+        psi = g.eval_psi(_SHO, _SHO_PARAMS, xs, periods * _SHO_TAU)
+        assert np.max(np.abs(psi - expected)) < 1e-13, periods
+
+
+@pytest.mark.parametrize("j", range(-2, 3))
+def test_sho_psi_is_continuous_across_odd_multiples_of_pi(j):
+    t = (2 * j + 1) * math.pi / _SHO.omega
+    xs = np.linspace(-4.0, 4.0, 201)
+    before = g.eval_psi(_SHO, _SHO_PARAMS, xs, t - 1e-7)
+    after = g.eval_psi(_SHO, _SHO_PARAMS, xs, t + 1e-7)
+    assert np.max(np.abs(after - before)) < 1e-5  # a sign jump would be ~1
+
+
+def test_sho_propagation_matches_closed_form_past_half_a_period():
+    system = g.harmonic_oscillator(1.0)
+    params = g.make_params(alpha=0.7, p0=1.1)
+    spec = g.PropagatorSpec(system=system, constants=params.constants,
+                            domain=(-16.0, 16.0), dt=0.01, n_grid=1024, order=4)
+    xs = spec.grid()
+    numeric = g.propagate(g.eval_psi(system, params, xs, 0.0), spec, 4.0)
+    exact = g.eval_psi(system, params, xs, 4.0)
+    distance = math.sqrt(float(np.sum(np.abs(numeric - exact) ** 2)) * (xs[1] - xs[0]))
+    assert distance < 1e-7
 
 
 def test_reductions_to_free():

@@ -36,14 +36,14 @@ PUBLIC_NAMES = [
     "QuadratureSpec", "RelativeWindow", "ResolutionError", "Scenario",
     "ScenarioError", "SystemKind", "SystemSpec", "TimeRangeError",
     "UnknownPresetError", "accel_event_times", "asymmetry_amplitude",
-    "eval_psi", "extremal_p0", "fd_derivative", "fd_second_derivative",
-    "figure_columns", "figure_tables", "fraction_limits", "fractions_series",
-    "free_particle", "half_energies", "half_windows", "harmonic_oscillator",
-    "integrate", "inverted_oscillator", "kinetic_density", "load_scenario",
-    "make_params", "moments_at", "momentum_transform", "oscillator_derived",
-    "packet_window", "potential_on_grid", "preset", "probability_density",
-    "propagate", "render_figure", "report", "run_checks", "sample_grid",
-    "scaled_density", "serialize_scenario", "state_at", "total_kinetic",
+    "eval_psi", "extremal_p0", "fd_second_derivative", "figure_columns",
+    "figure_tables", "fraction_limits", "fractions_series", "free_particle",
+    "half_energies", "half_windows", "harmonic_oscillator", "integrate",
+    "inverted_oscillator", "kinetic_density", "load_scenario", "make_params",
+    "moments_at", "momentum_transform", "oscillator_derived", "packet_window",
+    "potential_on_grid", "preset", "propagate", "render_figure", "report",
+    "run_checks", "sample_grid", "scaled_density", "serialize_scenario",
+    "state_at", "total_kinetic",
     "uniform_acceleration",
 ]
 
@@ -87,12 +87,29 @@ def test_closed_form_commands_do_not_load_scipy(tmp_path):
     assert all((tmp_path / name).stat().st_size for name in ("e.csv", "f.csv", "g.svg"))
 
 
-def test_quadrature_loads_scipy(tmp_path):
+def test_quadrature_loads_scipy():
+    script = ("import sys, gausspack\n"
+              "gausspack.integrate(abs, (-1.0, 1.0))\n"
+              "print('scipy.integrate' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "True\n"
+
+
+def test_validate_loads_no_quadrature(tmp_path):
     report = tmp_path / "report.json"
-    commands = [["validate", "--filter", "normalization", "--out", str(report)]]
+    codes, scipy = _run_in_fresh_interpreter([["validate", "--out", str(report)]])
+    assert codes == [0] and "scipy.fft" in scipy and "scipy.integrate" not in scipy
+    doc = json.loads(report.read_text())
+    assert doc["n_checks"] == 18 and doc["all_pass"] is True
+
+
+def test_grid_checks_load_no_scipy(tmp_path):
+    """normalization, ibp and halves need numpy's FFT alone."""
+    commands = [["validate", "--filter", family, "--out", str(tmp_path / f"{family}.json")]
+                for family in ("normalization", "ibp", "halves")]
     codes, scipy = _run_in_fresh_interpreter(commands)
-    assert codes == [0] and "scipy.integrate" in scipy
-    assert json.loads(report.read_text())["all_pass"] is True
+    assert codes == [0, 0, 0] and scipy == []
 
 
 def test_records_are_immutable_named_tuples(four_cases):

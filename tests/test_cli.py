@@ -390,7 +390,7 @@ def test_table_output_digests(args, tmp_path):
     assert digests == OUTPUT_DIGESTS[args]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
 def test_non_finite_table_value_is_a_numerical_error(fmt, monkeypatch, capsys,
                                                      tmp_path):
     def grid_with_nan(*args):
@@ -401,7 +401,8 @@ def test_non_finite_table_value_is_a_numerical_error(fmt, monkeypatch, capsys,
 
     monkeypatch.setattr(figures, "sample_grid", grid_with_nan)
     target = tmp_path / f"psi.{fmt}"
-    code = cli.main(["evolve", "--preset", "fig2-middle", "--format", fmt,
+    command = "figure" if fmt == "svg" else "evolve"  # only figure writes SVG
+    code = cli.main([command, "--preset", "fig2-middle", "--format", fmt,
                      "--out", str(target)])
     err = capsys.readouterr().err
     assert code == 2

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import gausspack as g
+from gausspack.oracle import _packet_grid, _upper_half_integral
+from gausspack.validation import _cases
 
 from conftest import FOUR_CASES
 
@@ -34,8 +36,7 @@ def test_probability_normalization_late_time():
     params = g.make_params(alpha=1.0, p0=0.5)
     t = 5.0 * params.t0
     window = g.packet_window(free, params, t)
-    value = g.integrate(
-        lambda x: g.probability_density(free, params, x, t), window)
+    value = g.integrate(g.state_at(free, params, t).prob, window)
     assert abs(value.value - 1.0) < 1e-10
 
 
@@ -64,19 +65,8 @@ def test_quadrature_spec_validation():
         g.QuadratureSpec(max_subdivisions=0)
 
 
-def test_fd_derivative_plane_wave():
-    p0 = 1.8
-    psi = lambda x, t: complex(math.cos(p0 * x), math.sin(p0 * x))
-    got = g.fd_derivative(psi, 0.37, 0.0, 1e-3)
-    assert abs(got - 1j * p0 * psi(0.37, 0.0)) < 1e-8
-
-
-def test_fd_derivative_symmetric_point():
-    psi = lambda x, t: math.exp(-x * x)
-    assert abs(g.fd_derivative(psi, 0.0, 0.0, 1e-3)) < 1e-12
-
-
 def test_fd_matches_closed_form_derivative():
+    """fd_second_derivative against psi'' = ((i*l - 2*a*u)**2 - 2*a) * psi."""
     rng = np.random.default_rng(17)
     for system, params, t in FOUR_CASES:
         state = g.state_at(system, params, t)
@@ -84,13 +74,15 @@ def test_fd_matches_closed_form_derivative():
         m = g.moments_at(system, params, t)
         for _ in range(25):
             x = float(m.mean_x + rng.uniform(-3, 3) * math.sqrt(m.var_x))
-            assert abs(g.fd_derivative(psi, x, t) - state.dpsi_dx(x)) < 1e-6
+            factor = 1j * state.lin_phase - 2.0 * state.quad_coeff * (x - state.center)
+            exact = (factor * factor - 2.0 * state.quad_coeff) * state.psi(x)
+            assert abs(g.fd_second_derivative(psi, x, t) - exact) < 1e-6
 
 
 def test_fd_requires_positive_step():
     psi = lambda x, t: x * x
     with pytest.raises(g.ParameterError):
-        g.fd_derivative(psi, 0.0, 0.0, 0.0)
+        g.fd_second_derivative(psi, 0.0, 0.0, 0.0)
     with pytest.raises(g.ParameterError):
         g.fd_second_derivative(psi, 0.0, 0.0, -1e-3)
 
@@ -137,6 +129,47 @@ def test_momentum_transform_detects_aliasing():
     xs = np.linspace(-5.0, 5.0, 32, endpoint=False)
     with pytest.raises(g.ResolutionError):
         g.momentum_transform(xs, g.eval_psi(free, params, xs, 0.0))
+
+
+def test_packet_grid_is_one_period_over_the_packet_window():
+    for system, params, t in _cases():
+        xs, psi, dx = _packet_grid(system, params, t, 256)
+        lo, hi = g.packet_window(system, params, t)
+        spec = g.PropagatorSpec(system=system, constants=params.constants,
+                                domain=(lo, hi), dt=0.1, n_grid=256)
+        assert np.array_equal(xs, spec.grid()) and dx == (hi - lo) / 256
+        assert np.array_equal(psi, g.eval_psi(system, params, xs, t))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_packet_grid_refuses_an_unresolved_packet(n):
+    for system, params, t in _cases():
+        with pytest.raises(g.ResolutionError):
+            _packet_grid(system, params, t, n)
+
+
+@pytest.mark.parametrize("split", [-1.0, 0.3, 0.31234, 2.7])
+def test_upper_half_integral_of_a_gaussian(split):
+    xs = -12.0 + 24.0 * np.arange(256) / 256
+    value = _upper_half_integral(np.exp(-(xs - 0.3) ** 2), xs, 24.0 / 256, split)
+    assert abs(value - math.sqrt(math.pi) / 2.0 * math.erfc(split - 0.3)) < 2e-15
+
+
+@pytest.mark.parametrize("case", _cases(), ids=lambda case: case[0].kind.value)
+def test_momentum_and_potential_moments_match_the_packet_grid(case):
+    """<p> and var_p from momentum_transform, <V> as sum V |psi|**2 dx."""
+    system, params, t = case
+    xs, psi, dx = _packet_grid(system, params, t, 256)
+    ps, phi = g.momentum_transform(xs, psi, params.hbar)
+    weight = np.abs(phi) ** 2 * (ps[1] - ps[0])
+    mean_p = float(np.sum(ps * weight))
+    var_p = float(np.sum((ps - mean_p) ** 2 * weight))
+    potential = float(np.sum(g.potential_on_grid(system, params.constants, xs)
+                             * np.abs(psi) ** 2) * dx)
+    m = g.moments_at(system, params, t)
+    assert abs(mean_p - m.mean_p) < 1e-13 * math.sqrt(m.var_p)
+    assert abs(var_p - m.var_p) < 1e-13 * m.var_p
+    assert abs(potential - m.potential) < 1e-13 * m.kinetic
 
 
 def test_momentum_transform_requires_uniform_grid():
@@ -387,7 +420,7 @@ def test_propagate_rejects_non_real_time(t_final):
 
 
 @pytest.mark.parametrize("h", _NOT_FINITE_REALS)
-@pytest.mark.parametrize("fd", [g.fd_derivative, g.fd_second_derivative])
+@pytest.mark.parametrize("fd", [g.fd_second_derivative])
 def test_fd_rejects_non_real_step(fd, h):
     with pytest.raises(g.ParameterError):
         fd(lambda x, t: x * x, 0.0, 0.0, h)

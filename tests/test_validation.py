@@ -84,3 +84,10 @@ def test_report_shape():
     record = doc["checks"][0]
     assert set(record) == {"name", "system", "params", "analytic", "oracle",
                            "abs_err", "rel_err", "tol", "pass"}
+
+
+def test_grid_checks_are_exact_to_rounding(suite):
+    """normalization, ibp and halves sum on a periodic grid that resolves psi."""
+    grid = [r for r in suite if r.name.split("-")[0] in ("normalization", "ibp", "halves")]
+    assert len(grid) == 12
+    assert max(r.rel_err for r in grid) <= 1e-14
