@@ -1,14 +1,18 @@
-"""Byte-deterministic CSV and JSON rendering.
+"""Byte-deterministic CSV and JSON writers.
 
-Every number the CLI writes has 17 significant digits, enough to round-trip
-any double.  A numeric table is a 2-D float64 block: after one np.isfinite
-check, one %-format of a repeated row template renders each chunk of rows with
-the bytes of fmt_float.  From 2^16 values on, forked helpers, one per spare
-usable CPU, format equal later row ranges while this process formats the
-first, and the text is joined in row order: the bytes do not change, and
-nothing needs setting.  It stays serial without os.fork, with one usable CPU,
-or while another Python thread runs.  Scalars, JSON containers and mixed-type
-CSV rows (the validate report, whose JSON params cell needs the quoting of
+write_json and write_csv write a document into a text stream, a bounded
+chunk at a time, so this process never holds the text of a large table
+whole; dumps_stable and render_csv return the same text as a string.  Every
+number has 17 significant digits, enough to round-trip any double.  A
+numeric table is a 2-D float64 block: after one np.isfinite check, one
+%-format of a repeated row template renders each chunk of rows with the
+bytes of fmt_float, and a list of Python floats is one %-format run as well.
+From 2^16 values on, forked helpers, one per spare usable CPU, format equal
+later row ranges while this process formats the first, and the text is
+passed on in row order: the bytes do not change, and nothing needs setting.
+It stays serial without os.fork, with one usable CPU, or while another
+Python thread runs.  Other scalars, JSON containers and mixed-type CSV rows
+(the validate report, whose JSON params cell needs the quoting of
 csv.writer) go through fmt_float one value at a time.  JSON keys keep
 insertion order, with no whitespace; the standard encoder gives no control
 over float formatting.
@@ -16,6 +20,7 @@ over float formatting.
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -27,7 +32,8 @@ import numpy as np
 
 from .errors import NonFiniteError
 
-__all__ = ["fmt_float", "format_rows", "dumps_stable", "render_csv"]
+__all__ = ["fmt_float", "format_rows", "write_json", "write_csv", "dumps_stable",
+           "render_csv"]
 
 # Rows rendered per %-format; bounds the temporary tuple and string.
 _CHUNK_ROWS = 4096
@@ -53,6 +59,16 @@ def _require_finite(block):
     if not finite.all():
         bad = block[~finite][0]
         raise NonFiniteError(f"cannot render non-finite value {float(bad)!r}")
+
+
+def _is_float_list(obj):
+    """A list or tuple of Python floats only, which is formatted in one run."""
+    return isinstance(obj, (list, tuple)) and set(map(type, obj)) == {float}
+
+
+def _require_finite_floats(values):
+    for bad in itertools.filterfalse(math.isfinite, values):
+        fmt_float(bad)  # raises NonFiniteError
 
 
 def _chunks(block, row_fmt, row_sep, lo, hi):
@@ -130,6 +146,11 @@ def _write(obj, out):
         out.write("[[")
         out.writelines(format_rows(obj, "%.17g", ",", "],["))
         out.write("]]")
+    elif _is_float_list(obj):
+        _require_finite_floats(obj)
+        out.write("[")
+        out.write(",".join(["%.17g"] * len(obj)) % tuple(obj))
+        out.write("]")
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         out.write("[")
         for i, value in enumerate(obj):
@@ -151,30 +172,42 @@ def _write(obj, out):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_stable(obj):
-    """Compact JSON text with deterministic float and key rendering."""
-    out = io.StringIO()
+def write_json(obj, out):
+    """Write obj as compact JSON with deterministic float and key rendering,
+    then a newline, into the text stream out."""
     _write(obj, out)
     out.write("\n")
-    return out.getvalue()
 
 
-def render_csv(columns, rows):
-    """RFC 4180 CSV text with LF line endings; floats to 17 digits.
+def write_csv(columns, rows, out):
+    """Write RFC 4180 CSV with LF line endings into the text stream out;
+    floats to 17 digits.
 
-    `rows` is either a 2-D float64 array, rendered as one block, or a
+    `rows` is either a 2-D float64 array, written as one block, or a
     sequence of rows mixing floats with cells csv.writer quotes itself.
     """
-    out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     if _is_block(rows):
         out.writelines(format_rows(rows, "%.17g", ",", "\n"))
         out.write("\n")
-        return out.getvalue()
+        return
     for row in rows:
         writer.writerow([
             fmt_float(v) if isinstance(v, (float, np.floating)) else v
             for v in row
         ])
+
+
+def dumps_stable(obj):
+    """Compact JSON text with deterministic float and key rendering."""
+    out = io.StringIO()
+    write_json(obj, out)
+    return out.getvalue()
+
+
+def render_csv(columns, rows):
+    """The text write_csv writes, as a string."""
+    out = io.StringIO()
+    write_csv(columns, rows, out)
     return out.getvalue()

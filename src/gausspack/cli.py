@@ -7,11 +7,16 @@ table, 64 usage error.
 """
 
 import argparse
+import contextlib
+import functools
+import io
+import os
+import shutil
 import sys
 
 import numpy as np
 
-from ._textio import _is_block, _require_finite, dumps_stable, render_csv
+from ._textio import _is_block, _require_finite, dumps_stable, write_csv, write_json
 from .errors import (
     AccuracyError,
     BoundaryError,
@@ -109,12 +114,43 @@ def _load(args):
     return load_scenario(args.scenario, lax=args.lax)
 
 
-def _emit(text, path):
-    if path == "-":
-        sys.stdout.write(text)
+def _emit(write, path):
+    """Call write(stream) to produce one output, and put it at path.
+
+    A regular file (or a path that does not exist yet) is written to a
+    temporary sibling, a bounded chunk at a time, and renamed onto path
+    after the last byte; if anything fails, the temporary is removed and
+    path keeps exactly what it held.  Standard output ("-") and any existing
+    path that is not a regular file, such as /dev/stdout or /dev/fd/N on a
+    pipe, a FIFO or a directory, get the whole text in one write.
+    """
+    if path == "-" or not os.path.basename(path) or (
+            os.path.exists(path) and not os.path.isfile(path)):
+        text = io.StringIO()
+        write(text)
+        if path == "-":
+            sys.stdout.write(text.getvalue())
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text.getvalue())
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    target = os.path.realpath(path)  # a symlink at path stays and names target
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the path asked for, not the temporary
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        if os.path.exists(target):  # keep its permissions, as open(path, "w") does
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _table_paths(path, count):
@@ -138,17 +174,19 @@ def _write(args, command, body, tables):
     or each (columns, rows) table as one CSV file at _table_paths' paths.
 
     Every float block is checked before the first file is opened, so a
-    non-finite value leaves no partial run of files behind.
+    non-finite value leaves no partial run of files behind; one within a
+    single output fails its _emit, which then writes nothing.
     """
     if args.format == "json":
-        _emit(dumps_stable({"version": 1, "command": command, **body}), args.out)
+        doc = {"version": 1, "command": command, **body}
+        _emit(functools.partial(write_json, doc), args.out)
         return
     paths = _table_paths(args.out, len(tables))
     for _, rows in tables:
         if _is_block(rows):
             _require_finite(rows)
     for (columns, rows), path in zip(tables, paths):
-        _emit(render_csv(columns, rows), path)
+        _emit(functools.partial(write_csv, columns, rows), path)
 
 
 def _grids(scenario, tables):
@@ -186,7 +224,8 @@ def cmd_fractions(args):
 def cmd_figure(args):
     scenario = _load(args)
     if args.format == "svg":
-        _emit(render_figure(scenario), args.out)
+        svg = render_figure(scenario)
+        _emit(lambda out: out.write(svg), args.out)
     else:
         _write(args, "figure", *_grids(scenario, figure_tables(scenario)))
     return EXIT_OK

@@ -47,3 +47,32 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return started
+
+
+class _HalfPipe:
+    """A formatting helper's pipe end that sends half of its text, then dies."""
+
+    def __init__(self, fd, mode, **kwargs):
+        self.file = open(fd, mode, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def write(self, data):
+        self.file.write(data[:len(data) // 2])
+        self.file.flush()
+        os._exit(3)
+
+
+@pytest.fixture
+def helpers_die_while_sending(monkeypatch):
+    """Make every forked formatting helper die halfway through sending."""
+    from gausspack import _textio
+
+    def helper_open(fd, mode="r", **kwargs):
+        return (_HalfPipe if mode == "w" else open)(fd, mode, **kwargs)
+
+    monkeypatch.setattr(_textio, "open", helper_open, raising=False)

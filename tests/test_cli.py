@@ -1,16 +1,20 @@
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gausspack as g
-from gausspack import _textio, cli, figures
+from gausspack import _textio, cli, figures, validation
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -86,6 +90,14 @@ def test_evolve_combined_json_is_refused(out, capsys, tmp_path, monkeypatch):
     stdout, err = capsys.readouterr()
     assert code == 64 and stdout == ""
     assert err.startswith("gausspack: error: --combined ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_many_tables_to_stdout_write_nothing(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["evolve", "--preset", "fig1", "--out", "-"]) == 64
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("gausspack: error: multiple output tables")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -470,3 +482,107 @@ def test_large_outputs_match_the_serial_bytes(monkeypatch, tmp_path, forks):
     assert {name: n for name, (_, n) in serial.items()} == dict.fromkeys(commands, 0)
     for name in commands:
         assert parallel[name][0] == serial[name][0], name
+
+
+@pytest.mark.parametrize("args", [["evolve", "--combined"], ["figure", "--format", "json"],
+                                  ["figure", "--format", "svg"]], ids=" ".join)
+def test_large_outputs_to_stdout_match_the_file(args, capsys, tmp_path):
+    path = tmp_path / "out"
+    assert cli.main([*args, "--scenario", LARGE_SCENARIO, "--out", str(path)]) == 0
+    assert cli.main([*args, "--scenario", LARGE_SCENARIO, "--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+def test_writing_a_large_table_holds_a_bounded_part_of_its_text(tmp_path):
+    block = np.random.default_rng(0).standard_normal((2**17, 6))
+    path = tmp_path / "large.csv"
+    tracemalloc.start()
+    try:
+        cli._emit(functools.partial(_textio.write_csv, list("abcdef"), block), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == _textio.render_csv(list("abcdef"), block)
+    assert peak < path.stat().st_size / 4
+
+
+@pytest.mark.parametrize("old", [None, b"an earlier run\n"])
+def test_a_helper_dying_mid_send_leaves_the_file_as_it_was(
+        old, monkeypatch, capsys, tmp_path, forks, helpers_die_while_sending):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = tmp_path / "run.csv"
+    if old is not None:
+        path.write_bytes(old)
+    code = cli.main(["evolve", "--combined", "--scenario", LARGE_SCENARIO,
+                     "--out", str(path)])
+    assert code == 1 and len(forks) == 1
+    assert capsys.readouterr().err.startswith("gausspack: i/o error:")
+    assert list(tmp_path.iterdir()) == ([] if old is None else [path])
+    assert old is None or path.read_bytes() == old
+
+
+@pytest.mark.parametrize("out", ["-", "report"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_validate_report_writes_nothing(fmt, out, monkeypatch, capsys,
+                                                   tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(validation, "_check_normalization",
+                        lambda system, params, t: (1.0, math.nan, 1e-12))
+    code = cli.main(["validate", "--filter", "normalization", "--format", fmt,
+                     "--out", out])
+    stdout, err = capsys.readouterr()
+    assert code == 2 and stdout == ""
+    assert err.startswith("gausspack: numerical error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _fifo(tmp_path):
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("needs os.mkfifo")
+    os.mkfifo(tmp_path / "fifo")
+    return os.open(tmp_path / "fifo", os.O_RDONLY | os.O_NONBLOCK), None, "fifo"
+
+
+def _dev_fd_pipe(tmp_path):
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("needs /dev/fd")
+    reader, writer = os.pipe()
+    return reader, writer, f"/dev/fd/{writer}"
+
+
+@pytest.mark.parametrize("make", [_fifo, _dev_fd_pipe], ids=["fifo", "dev-fd-pipe"])
+def test_a_non_regular_path_gets_the_whole_text_in_place(make, capsys, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["fractions", "--preset", "fig3", "--format", "json"]
+    assert cli.main([*args, "--out", "-"]) == 0
+    expected = capsys.readouterr().out.encode()  # < 1 kB: fits the pipe buffer
+    reader, writer, out = make(tmp_path)
+    try:
+        assert cli.main([*args, "--out", out]) == 0
+        assert os.read(reader, 2**20) == expected
+    finally:
+        os.close(reader)
+        if writer is not None:
+            os.close(writer)
+    assert [p.name for p in tmp_path.iterdir()] == ([] if writer is not None else ["fifo"])
+
+
+def test_a_rewritten_file_keeps_its_mode_and_symlink(tmp_path):
+    path, link = tmp_path / "frac.csv", tmp_path / "link.csv"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    link.symlink_to(path)
+    assert cli.main(["fractions", "--preset", "fig1", "--out", str(link)]) == 0
+    assert link.is_symlink() and path.read_text().startswith("t,total,")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert sorted(tmp_path.iterdir()) == [path, link]
+
+
+@pytest.mark.parametrize("name", ["missing/", "missing/run.csv", "."])
+def test_an_unwritable_path_is_an_io_error(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["fractions", "--preset", "fig1", "--out", name]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gausspack: i/o error: [Errno ") and f"'{name}'" in err
+    assert list(tmp_path.iterdir()) == []

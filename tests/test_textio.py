@@ -70,6 +70,24 @@ def test_non_finite_values_are_rejected(bad, row):
         fmt_float(bad)
 
 
+def test_float_lists_match_the_per_value_path():
+    values = _random_block(N_ROWS, 1, seed=12).ravel().tolist()
+    expected = "[" + ",".join(map(fmt_float, values)) + "]"
+    assert dumps_stable(values) == dumps_stable(tuple(values)) == expected + "\n"
+    assert dumps_stable({"t": values}) == '{"t":' + expected + "}\n"
+    assert dumps_stable([*values, 1]) == "[" + expected[1:-1] + ",1]\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [0, N_ROWS - 1])
+def test_non_finite_float_lists_are_rejected(bad, index):
+    values = _random_block(N_ROWS, 1, seed=13).ravel().tolist()
+    values[index] = bad
+    message = f"^cannot render non-finite value {bad!r}$"
+    with pytest.raises(g.NonFiniteError, match=message):
+        dumps_stable({"t": values})
+
+
 def test_format_rows_matches_per_point_fstrings():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-500.0, 500.0, size=(N_ROWS, 2))
@@ -200,31 +218,10 @@ def test_a_failed_helper_leaves_its_rows_to_this_process(monkeypatch, forks):
     assert len(forks) == 2 and _no_children_left()
 
 
-def test_a_helper_dying_while_sending_raises_oserror(monkeypatch, forks):
+def test_a_helper_dying_while_sending_raises_oserror(monkeypatch, forks,
+                                                   helpers_die_while_sending):
     _cpus(monkeypatch, 2)
     block = _random_block(*BIG_SHAPE, seed=10)
-
-    class HalfPipe:
-        """A helper's pipe end that sends half of its text, then dies."""
-
-        def __init__(self, fd, mode, **kwargs):
-            self.file = open(fd, mode, **kwargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def write(self, data):
-            self.file.write(data[:len(data) // 2])
-            self.file.flush()
-            os._exit(3)
-
-    def helper_open(fd, mode="r", **kwargs):
-        return (HalfPipe if mode == "w" else open)(fd, mode, **kwargs)
-
-    monkeypatch.setattr(_textio, "open", helper_open, raising=False)
     with pytest.raises(OSError, match="died while sending"):
         dumps_stable(block)
     assert len(forks) == 1 and _no_children_left()
