@@ -114,12 +114,14 @@ def format_rows(block, value_fmt, value_sep, row_sep):
             started.append((pid, open(rfd, encoding="utf-8", newline="")))
         yield from _chunks(block, row_fmt, row_sep, 0, bounds[0])
         for (pid, pipe), lo, hi in zip(started, bounds, bounds[1:]):
-            text = ""  # passed on a bounded piece at a time, not held whole
-            for text in iter(lambda: pipe.read(2**20), ""):
-                yield text
+            sent = False  # any text from this helper, for the died-while-sending test
+            while piece := pipe.read(2**20):  # a bounded piece at a time, not all
+                sent = True
+                yield piece
+                del piece  # not held while the next piece is read
             status = os.waitpid(pid, 0)[1]
             pipe.close()
-            if status and text:
+            if status and sent:
                 raise OSError(f"formatting helper {pid} died while sending its rows")
             yield from _chunks(block, row_fmt, row_sep, lo, hi) if status else ()
     finally:

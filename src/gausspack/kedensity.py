@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import (
-    _OSCILLATORS, _checked, _checked_times, _kinetic, _per_element,
+    _OSCILLATORS, _SQRT_PI, _checked, _checked_times, _kinetic, _per_element,
     _prob_at_offset, state_at, total_kinetic,
 )
 from .errors import ParameterError
@@ -52,7 +52,6 @@ __all__ = [
     "asymmetry_amplitude",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 
 

@@ -5,8 +5,9 @@ parameter bundles and sampled values of psi: integrals are done by
 adaptive quadrature or by sums on a periodic grid, second derivatives by
 fourth-order finite differences, momentum-space amplitudes by FFT with
 explicit phase bookkeeping, and time evolution by a symmetric split-step
-propagator.  Agreement between these routines and the closed-form
-expressions is the package's primary correctness evidence.
+propagator.  The periodic-grid checks and the propagator share np.fft;
+only quadrature imports scipy.  Agreement between these routines and the
+closed-form expressions is the package's primary correctness evidence.
 
 Parameters
 ----------
@@ -267,10 +268,6 @@ def propagate(psi0, spec, t_final):
     is NaN, the run aborts with a BoundaryError, since the periodic grid
     would fold the leaked amplitude back in silently.
     """
-    # Imported here, like quad in integrate: scipy.fft gives the same bits
-    # as np.fft on these grids and can work in place.
-    from scipy.fft import fft, ifft
-
     psi = np.asarray(psi0, dtype=complex).copy()
     if psi.shape != (spec.n_grid,):
         raise ParameterError(
@@ -313,11 +310,11 @@ def propagate(psi0, spec, t_final):
     for _ in range(n_steps):
         for v_phase, kinetic_phase in stages:
             psi *= v_phase
-            psi = fft(psi, overwrite_x=True)
+            np.fft.fft(psi, out=psi)
             # kinetic_phase * psi, not psi * kinetic_phase: complex multiply
             # is not bitwise commutative, and the Strang bits are pinned.
             np.multiply(kinetic_phase, psi, out=psi)
-            psi = ifft(psi, overwrite_x=True)
+            np.fft.ifft(psi, out=psi)
         psi *= closing_v_phase
 
         np.square(psi.view(float), out=squares)

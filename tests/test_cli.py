@@ -493,17 +493,23 @@ def test_large_outputs_to_stdout_match_the_file(args, capsys, tmp_path):
     assert capsys.readouterr().out.encode() == path.read_bytes()
 
 
-def test_writing_a_large_table_holds_a_bounded_part_of_its_text(tmp_path):
+def test_writing_a_large_table_holds_a_bounded_part_of_its_text(
+        monkeypatch, tmp_path, forks):
+    """Serial, and with one helper whose text is passed on a piece at a time."""
     block = np.random.default_rng(0).standard_normal((2**17, 6))
     path = tmp_path / "large.csv"
-    tracemalloc.start()
-    try:
-        cli._emit(functools.partial(_textio.write_csv, list("abcdef"), block), str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert path.read_text() == _textio.render_csv(list("abcdef"), block)
-    assert peak < path.stat().st_size / 4
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        tracemalloc.start()
+        try:
+            cli._emit(functools.partial(_textio.write_csv, list("abcdef"), block), str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(forks) == cpus - 1
+        assert path.read_text() == _textio.render_csv(list("abcdef"), block)
+        assert peak < path.stat().st_size / 6, cpus
 
 
 @pytest.mark.parametrize("old", [None, b"an earlier run\n"])
