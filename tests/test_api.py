@@ -76,21 +76,33 @@ def _run_in_fresh_interpreter(commands):
     return json.loads(proc.stdout)
 
 
-def test_every_command_loads_numpy_alone(tmp_path):
-    """evolve, fractions, figure and the full validate suite load no scipy
-    module: the grid checks and the split-step propagator use np.fft."""
-    report = tmp_path / "report.json"
+def test_closed_form_commands_do_not_load_scipy(tmp_path):
     commands = [
         ["evolve", "--preset", "fig1", "--combined", "--out", str(tmp_path / "e.csv")],
         ["fractions", "--preset", "fig3", "--out", str(tmp_path / "f.csv")],
         ["figure", "--preset", "fig2-middle", "--out", str(tmp_path / "g.svg")],
-        ["validate", "--out", str(report)],
     ]
     codes, scipy = _run_in_fresh_interpreter(commands)
-    assert codes == [0, 0, 0, 0] and scipy == []
+    assert codes == [0, 0, 0] and scipy == []
     assert all((tmp_path / name).stat().st_size for name in ("e.csv", "f.csv", "g.svg"))
+
+
+def test_validate_loads_no_quadrature(tmp_path):
+    """The full validate suite loads no scipy module at all: the grid checks
+    and the split-step propagator use np.fft."""
+    report = tmp_path / "report.json"
+    codes, scipy = _run_in_fresh_interpreter([["validate", "--out", str(report)]])
+    assert codes == [0] and scipy == []
     doc = json.loads(report.read_text())
     assert doc["n_checks"] == 18 and doc["all_pass"] is True
+
+
+def test_grid_checks_load_no_scipy(tmp_path):
+    """normalization, ibp and halves need numpy's FFT alone."""
+    commands = [["validate", "--filter", family, "--out", str(tmp_path / f"{family}.json")]
+                for family in ("normalization", "ibp", "halves")]
+    codes, scipy = _run_in_fresh_interpreter(commands)
+    assert codes == [0, 0, 0] and scipy == []
 
 
 def test_quadrature_loads_scipy():
