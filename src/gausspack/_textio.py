@@ -6,7 +6,7 @@ whole; dumps_stable and render_csv return the same text as a string.  Every
 number has 17 significant digits, enough to round-trip any double.  A
 numeric table is a 2-D float64 block: after one np.isfinite check, one
 %-format of a repeated row template renders each chunk of rows with the
-bytes of fmt_float, and a list of Python floats is one %-format run as well.
+bytes of fmt_float, and a list of Python floats is a one-column block.
 From 2^16 values on, forked helpers, one per spare usable CPU, format equal
 later row ranges while this process formats the first, and the text is
 passed on in row order: the bytes do not change, and nothing needs setting.
@@ -20,7 +20,6 @@ over float formatting.
 
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -62,13 +61,8 @@ def _require_finite(block):
 
 
 def _is_float_list(obj):
-    """A list or tuple of Python floats only, which is formatted in one run."""
+    """A list or tuple of Python floats only, which is formatted as a block."""
     return isinstance(obj, (list, tuple)) and set(map(type, obj)) == {float}
-
-
-def _require_finite_floats(values):
-    for bad in itertools.filterfalse(math.isfinite, values):
-        fmt_float(bad)  # raises NonFiniteError
 
 
 def _chunks(block, row_fmt, row_sep, lo, hi):
@@ -148,10 +142,9 @@ def _write(obj, out):
         out.write("[[")
         out.writelines(format_rows(obj, "%.17g", ",", "],["))
         out.write("]]")
-    elif _is_float_list(obj):
-        _require_finite_floats(obj)
+    elif _is_float_list(obj):  # a one-column block, each row one value
         out.write("[")
-        out.write(",".join(["%.17g"] * len(obj)) % tuple(obj))
+        out.writelines(format_rows(np.array(obj)[:, None], "%.17g", "", ","))
         out.write("]")
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         out.write("[")

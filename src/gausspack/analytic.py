@@ -38,8 +38,7 @@ import numpy as np
 
 from .errors import ParameterError, TimeRangeError
 from .quantities import (
-    SystemKind, _SHAPE_FIELD, _as_int, _require_finite, _require_window, _shown,
-    _require_squarable,
+    SystemKind, _as_int, _require_finite, _require_squarable, _require_window, _shown,
 )
 
 __all__ = [
@@ -229,12 +228,24 @@ _OSCILLATORS = {
 }
 
 
+def _gamma(params, omega):
+    """gamma = hbar/(mass*omega*beta), the envelope's second width, if 0 < gamma < inf."""
+    try:
+        gamma = params.hbar / (params.mass * omega * params.beta)
+    except ZeroDivisionError:  # mass*omega*beta underflowed to 0
+        gamma = math.inf
+    if not 0.0 < gamma < math.inf:
+        raise ParameterError(
+            f"gamma = hbar/(mass*omega*beta) must be finite and non-zero, got {gamma!r}")
+    return gamma
+
+
 def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
     """Harmonic and inverted oscillator packets share one solution family."""
     hbar, mass = params.hbar, params.mass
     beta, p0 = params.beta, params.p0
 
-    gamma = hbar / (mass * omega * beta)
+    gamma = _gamma(params, omega)
     envelope = complex(beta * c, gamma * s)
     abs_env = abs(envelope)
     width = grow * abs_env
@@ -323,11 +334,7 @@ def _kinetic(system, params, t, terms):
         return (p_t * p_t + 1.0 / (2.0 * params.alpha**2)) / (2.0 * mass)
     omega, _, _, grow2, c, s = terms
     beta = params.beta
-    try:
-        e_pot0 = mass * omega**2 * beta**2 / 4.0
-    except OverflowError:
-        _require_squarable(_SHAPE_FIELD[system.kind], omega)
-        raise
+    e_pot0 = mass * omega**2 * beta**2 / 4.0
     e_kin0 = (params.p0**2 + params.hbar**2 / (2.0 * beta**2)) / (2.0 * mass)
     return grow2 * (e_kin0 * c * c + e_pot0 * s * s)
 
@@ -335,7 +342,7 @@ def _kinetic(system, params, t, terms):
 def moments_at(system, params, t):
     """Closed-form expectation values at time t."""
     t, terms = _checked(system, params, t)
-    kinetic = _kinetic(system, params, t, terms)  # the oscillators' omega**2 gate
+    kinetic = _kinetic(system, params, t, terms)
     hbar, mass = params.hbar, params.mass
     beta, p0 = params.beta, params.p0
     force = system.shape  # read by the drifting branches only

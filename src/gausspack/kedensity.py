@@ -34,11 +34,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import (
-    _OSCILLATORS, _SQRT_PI, _checked, _checked_times, _kinetic, _per_element,
+    _OSCILLATORS, _SQRT_PI, _checked, _checked_times, _gamma, _kinetic, _per_element,
     _prob_at_offset, state_at, total_kinetic,
 )
 from .errors import ParameterError
-from .quantities import SystemKind, _SHAPE_FIELD, _require_finite, _require_squarable
+from .quantities import SystemKind, _require_finite, _require_squarable
 
 __all__ = [
     "EnergySplit",
@@ -82,7 +82,7 @@ def kinetic_density(system, params, x, t):
     a, l = state.quad_coeff, state.lin_phase
     poly = 4.0 * l * a.imag * u
     np.subtract(l * l, poly, out=poly)
-    square = 4.0 * abs(a) ** 2 * u
+    square = 4.0 * _require_squarable("|quad_coeff|", abs(a)) ** 2 * u
     square *= u
     poly += square
     np.multiply(params.hbar**2 / (2.0 * params.mass), poly, out=poly)
@@ -107,7 +107,7 @@ def _split_delta(system, params, t, terms):
 
     omega, sign, _, grow2, c, s = terms
     beta = params.beta
-    gamma = params.hbar / (mass * omega * beta)
+    gamma = _gamma(params, omega)
     env = hypot(beta * c, gamma * s)
     return grow2 * (
         p0 * omega * s * c * c * (gamma * gamma - sign * beta * beta)
@@ -172,7 +172,7 @@ def fraction_limits(system, params):
         return 0.5, 0.5
 
     omega = system.shape
-    gamma = params.hbar / (params.mass * omega * params.beta)
+    gamma = _gamma(params, omega)
     kappa = gamma * gamma + params.beta**2
     s = p0 / (params.mass * omega)
     shift = _TWO_OVER_SQRT_PI * (s / (2.0 * s * s + kappa))
@@ -192,8 +192,7 @@ def extremal_p0(system, params):
         raise ParameterError(
             "extremal p0 is defined for free and oscillator systems only"
         )
-    omega = _require_squarable(_SHAPE_FIELD[kind], system.shape)
-    product = _require_squarable("beta*mass*omega", params.beta * params.mass * omega)
+    product = _require_squarable("beta*mass*omega", params.beta * params.mass * system.shape)
     return math.sqrt(product**2 / 2.0 + params.hbar**2 / (2.0 * params.beta**2))
 
 

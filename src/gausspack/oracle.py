@@ -40,12 +40,10 @@ from .quantities import (
     PhysicalConstants,
     SystemKind,
     SystemSpec,
-    _SHAPE_FIELD,
     _as_int,
     _require_finite,
     _require_positive,
     _require_window,
-    _require_squarable,
     _store_checked,
 )
 
@@ -252,8 +250,8 @@ def potential_on_grid(system, constants, xs):
         return np.zeros_like(xs)
     if kind is SystemKind.UNIFORM_ACCELERATION:
         return -system.force * xs
-    omega = _require_squarable(_SHAPE_FIELD[kind], system.shape)  # omega or omega_tilde
-    return (0.5 if kind is SystemKind.HARMONIC else -0.5) * constants.mass * omega**2 * xs * xs
+    half = 0.5 if kind is SystemKind.HARMONIC else -0.5
+    return half * constants.mass * system.shape**2 * xs * xs  # shape: omega or omega_tilde
 
 
 def propagate(psi0, spec, t_final):

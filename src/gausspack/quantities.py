@@ -8,8 +8,8 @@ width 1/alpha centred on p0, localized near x0.  Derived scales are
     dp0   = 1 / (alpha * sqrt(2)) (initial momentum spread)
     dx0   = beta / sqrt(2)        (initial position spread)
 
-All containers are immutable.  Each record derives its own fields: a
-PacketParams its scales, a SystemSpec its shape constant.
+All containers are immutable.  Each record refuses its own inputs and
+derives its own fields: a PacketParams its scales, a SystemSpec its shape.
 """
 
 import math
@@ -101,6 +101,16 @@ def _require_squarable(name, value):
     number = _require_finite(name, value)
     if not math.isfinite(number * number):
         raise ParameterError(f"{name} must be below 1.3e154 in magnitude, got {_shown(value)}")
+    return number
+
+
+def _require_frequency(name, value):
+    """_require_positive, also refusing a value whose square is inf or 0.0."""
+    number = _require_positive(name, value)
+    if not 0.0 < number * number < math.inf:
+        raise ParameterError(
+            f"{name} must be at least 1.6e-162 and below 1.3e154 in magnitude, "
+            f"or its square under- or overflows, got {_shown(value)}")
     return number
 
 
@@ -221,8 +231,8 @@ class SystemSpec:
         needed = _SHAPE_FIELD.get(self.kind)
         for name in _SHAPE_FIELD.values():
             if name == needed:
-                # A force may point either way; a frequency is positive.
-                check = _require_finite if name == "force" else _require_positive
+                # A force may point either way; a frequency is positive and squarable.
+                check = _require_finite if name == "force" else _require_frequency
                 _store_checked(self, name, check)
             elif getattr(self, name) is not None:
                 raise ParameterError(

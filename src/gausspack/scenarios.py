@@ -56,7 +56,6 @@ from .quantities import (
     _SHAPE_FIELD,
     _as_float,
     _as_int,
-    _require_squarable,
 )
 
 __all__ = [
@@ -204,10 +203,7 @@ def _build_system(doc, kind):
         return SystemSpec(kind=kind)
     if needed not in doc:
         _fail(needed, f"required for the {kind.value} system")
-    value = _as_number(needed, doc[needed])
-    if kind is not SystemKind.UNIFORM_ACCELERATION:
-        _require_squarable(needed, value)  # refused here, not only where it is squared
-    return SystemSpec(kind=kind, **{needed: value})
+    return SystemSpec(kind=kind, **{needed: _as_number(needed, doc[needed])})
 
 
 def _build_params(doc, kind, system):

@@ -445,6 +445,38 @@ def test_overflowing_frequency_is_a_usage_error(capsys):
     assert err.startswith("gausspack: error: field 'omega': ") and "Traceback" not in err
 
 
+# Inputs that each ended in a raw Python traceback (exit 1): a frequency
+# whose square underflows to 0 (exit 64 now, refused where the system is
+# built), gamma = hbar/(mass*omega*beta) with mass*omega*beta underflowing
+# to 0, and a quadratic coefficient |a| with no float square.
+_RAW_TRACEBACKS = {
+    "omega_tilde-square-underflows": (64, "fractions", {
+        "system": "inverted", "omega_tilde": 1.1315473779143406e-240,
+        "mass": 2.5291244416048238e-279, "times": [0.0, 1.0]}),
+    "omega-subnormal": (64, "evolve", {
+        "system": "sho", "omega": 3.52956535e-316, "times": [1e-150]}),
+    "gamma-infinite": (1, "fractions", {
+        "system": "sho", "omega": 1e-160, "mass": 1e-200, "times": [0.0, 1.0]}),
+    "quad-coeff-square-overflows": (1, "figure", {
+        "system": "free", "alpha": 1e-80, "times": [0.0],
+        "outputs": ["psi", "prob", "kedensity"]}),
+}
+
+
+@pytest.mark.parametrize("case", _RAW_TRACEBACKS)
+def test_underflowing_and_overflowing_inputs_are_refused(case, run_cli, tmp_path):
+    code, command, doc = _RAW_TRACEBACKS[case]
+    doc = json.dumps({"version": 1, "name": "edge", **doc})
+    out_path = tmp_path / "out" / "table.csv"
+    out_path.parent.mkdir()
+    returned, out, err = run_cli(command, "--format", "csv", "--scenario", doc,
+                                 "--out", str(out_path))
+    assert (returned, out) == (code, "")
+    assert err.startswith("gausspack: error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(out_path.parent.iterdir()) == []
+
+
 # 2^15 grid points at two times: every table, and every SVG polyline, is at
 # least _textio._PARALLEL_MIN_VALUES values, so each is split across a helper.
 LARGE_SCENARIO = json.dumps({

@@ -159,6 +159,17 @@ def test_system_spec_validation():
         g.SystemSpec(kind=g.SystemKind.HARMONIC, omega=1.0, force=1.0)
 
 
+@pytest.mark.parametrize("factory, name", [(g.harmonic_oscillator, "omega"),
+                                           (g.inverted_oscillator, "omega_tilde")])
+def test_frequencies_need_a_finite_nonzero_square(factory, name):
+    # The closed forms square a frequency: inf or 0.0 there is refused here.
+    for omega in (1e200, 1e-200, 3.5e-316):
+        with pytest.raises(g.ParameterError, match=f"^{name} must be at least 1.6e-162 "):
+            factory(omega)
+    for omega in (1e154, 1.6e-162):
+        assert getattr(factory(omega), name) == omega
+
+
 def test_system_spec_requires_an_enum_kind():
     # SystemKind is a str enum: the plain strings equal its members but
     # would slip past every `kind is SystemKind.X` test downstream.

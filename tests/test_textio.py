@@ -135,10 +135,11 @@ def test_parallel_blocks_match_the_serial_bytes(cpus, monkeypatch, forks):
         (render_csv, ["a", "b", "c", "d", "e", "f", "g"], block),
         (dumps_stable, {"rows": block}),
         (lambda p: "".join(format_rows(p, "%.2f", ",", " ")), pts),
+        (dumps_stable, {"t": block.ravel().tolist()}),  # a float list is a block too
     ]
     for fn, *args in cases:
         assert fn(*args) == _serial(monkeypatch, fn, *args)
-    assert len(forks) == 3 * (cpus - 1)
+    assert len(forks) == 4 * (cpus - 1)
     assert _no_children_left()
 
 
