@@ -467,14 +467,12 @@ _RAW_TRACEBACKS = {
 def test_underflowing_and_overflowing_inputs_are_refused(case, run_cli, tmp_path):
     code, command, doc = _RAW_TRACEBACKS[case]
     doc = json.dumps({"version": 1, "name": "edge", **doc})
-    out_path = tmp_path / "out" / "table.csv"
-    out_path.parent.mkdir()
     returned, out, err = run_cli(command, "--format", "csv", "--scenario", doc,
-                                 "--out", str(out_path))
+                                 "--out", str(tmp_path / "table.csv"))
     assert (returned, out) == (code, "")
     assert err.startswith("gausspack: error:") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert list(out_path.parent.iterdir()) == []
+    assert list(tmp_path.iterdir()) == []
 
 
 # 2^15 grid points at two times: every table, and every SVG polyline, is at
