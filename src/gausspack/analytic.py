@@ -251,10 +251,14 @@ def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
     width = grow * abs_env
     center = p0 * grow * s / (mass * omega)
 
+    chirp_scale = 2.0 * hbar * abs_env * abs_env
+    if chirp_scale == 0.0:  # a tiny hbar times a huge alpha underflowed
+        raise ParameterError(
+            f"2*hbar*|A|**2 underflows to 0 (hbar = {hbar!r}, |A| = {abs_env!r})")
     quad = complex(
         1.0 / (2.0 * width * width),
         sign * mass * omega * (beta * beta - sign * gamma * gamma) * s * c
-        / (2.0 * hbar * abs_env * abs_env),
+        / chirp_scale,
     )
     lin = p0 * grow * c / hbar
     # math.atan2 rounds a phase that underflows to 0; cmath.phase raises there.

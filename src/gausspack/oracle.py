@@ -6,17 +6,24 @@ adaptive quadrature or by sums on a periodic grid, second derivatives by
 fourth-order finite differences, momentum-space amplitudes by FFT with
 explicit phase bookkeeping, and time evolution by a symmetric split-step
 propagator.  The periodic-grid checks and the propagator share np.fft;
-only quadrature imports scipy.  Agreement between these routines and the
+quadrature is QUADPACK's Gauss-Kronrod rule, written out here, so the
+module needs numpy alone.  Agreement between these routines and the
 closed-form expressions is the package's primary correctness evidence.
 
 Parameters
 ----------
 Quadrature follows a QuadratureSpec of tolerances and a subdivision
-budget.  Its windows are finite and fixed at twelve position spreads on
-each side of the packet center, where the density has fallen to e**-72
-of its peak, far below any tolerance.  Splitting an integral at the
-packet center is done by integrating the two half windows separately so
-the split point is a quadrature endpoint.
+budget.  It is global adaptive, as QUADPACK's QAG (R. Piessens, E. de
+Doncker-Kapenga, C. W. Ueberhuber and D. K. Kahaner, QUADPACK, Springer
+1983): the subinterval with the largest error estimate is bisected until
+the summed estimate meets the tolerance.  Each subinterval gets the
+21-point Kronrod estimate, and dqk21's error estimate from its distance
+to the embedded 10-point Gauss estimate.  The windows are finite and
+fixed at twelve position spreads on each side of the packet center,
+where the density has fallen to e**-72 of its peak, far below any
+tolerance.  Splitting an integral at the packet center is done by
+integrating the two half windows separately so the split point is a
+quadrature endpoint.
 
 The split-step propagator is built on the Strang step: a half
 potential phase, a full kinetic phase applied in momentum space, and a
@@ -28,7 +35,9 @@ unitary apart from rounding, and the boundary monitor runs after every
 full step of either.
 """
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -83,30 +92,105 @@ class IntegralResult(NamedTuple):
     error: float
 
 
+# QUADPACK's 10/21-point Gauss-Kronrod rule on [-1, 1] (dqk21): the ten
+# positive Kronrod nodes in descending order, every second one also a node of
+# the 10-point Gauss rule; the Kronrod weights, the centre's last; and the
+# Gauss weights of the nodes _KRONROD_X[1::2].
+_KRONROD_X = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_KRONROD_W = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GAUSS_W = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+
+
+def _kronrod(f, lo, hi):
+    """(integral, error estimate) of f over (lo, hi) by the 21-point rule.
+
+    f is sampled and summed in dqk21's order.  The error estimate is
+    dqk21's: |Kronrod - Gauss| rescaled by the mean deviation of f,
+    resasc * min(1, (200*|K - G|/resasc)**1.5), and kept above the
+    round-off floor 50*eps*(integral of |f|).
+    """
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fc = float(f(center))
+    kronrod, gauss = _KRONROD_W[10] * fc, 0.0
+    resabs = abs(kronrod)
+    pairs = [None] * 10
+    # The Gauss nodes first, then the Kronrod nodes between them.
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        step = half * _KRONROD_X[j]
+        f1, f2 = float(f(center - step)), float(f(center + step))
+        pairs[j] = f1, f2
+        kronrod += _KRONROD_W[j] * (f1 + f2)
+        resabs += _KRONROD_W[j] * (abs(f1) + abs(f2))
+        if j % 2:
+            gauss += _GAUSS_W[j // 2] * (f1 + f2)
+    mean = 0.5 * kronrod
+    resasc = _KRONROD_W[10] * abs(fc - mean)
+    for w, (f1, f2) in zip(_KRONROD_W, pairs):
+        resasc += w * (abs(f1 - mean) + abs(f2 - mean))
+    resabs, resasc = resabs * half, resasc * half
+    error = abs((kronrod - gauss) * half)
+    if resasc != 0.0 and error != 0.0:
+        # min before the power, which would overflow for a tiny resasc.
+        error = resasc * min(1.0, 200.0 * error / resasc) ** 1.5
+    if resabs > _TINY / (50.0 * _EPS):
+        error = max(50.0 * _EPS * resabs, error)
+    return kronrod * half, error
+
+
 def integrate(f: Callable[[float], float], window, spec=QuadratureSpec()):
     """Adaptively integrate f over window = (lo, hi).
 
-    Returns an IntegralResult carrying the achieved error estimate.
-    Raises AccuracyError (with the best estimate attached) when the
-    subdivision budget is exhausted before the tolerances are met.
+    f is called with one float at a time.  Returns an IntegralResult
+    carrying the achieved error estimate.  Raises AccuracyError (with the
+    best estimate attached) when the subdivision budget is exhausted
+    before the tolerances are met, or when f or an estimate is not finite.
     """
-    # Imported here: scipy.integrate takes longer to import than the rest
-    # of the package, and only quadrature needs it.
-    from scipy.integrate import quad
-
     lo, hi = _require_window("window", window)
-    out = quad(
-        f, lo, hi,
-        epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions, full_output=True,
-    )
-    value, abserr = out[0], out[1]
-    if len(out) > 3:
-        raise AccuracyError(
-            f"quadrature did not converge: {out[3]}",
-            best_estimate=value, error_estimate=abserr,
-        )
-    return IntegralResult(value=value, error=abserr)
+    value, error = _kronrod(f, lo, hi)
+    best = value, error
+    # A heap of (-error estimate, lo, hi, integral): the worst piece first.
+    pieces = [(-error, lo, hi, value)]
+    while True:
+        # A non-finite sample makes the Kronrod sum, and so value, non-finite.
+        if not (math.isfinite(value) and math.isfinite(error)):
+            raise AccuracyError(
+                "quadrature met a non-finite value of the integrand or of an estimate",
+                best_estimate=best[0], error_estimate=best[1],
+            )
+        best = value, error
+        if error <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+            return IntegralResult(value=math.fsum(p[3] for p in pieces), error=error)
+        if len(pieces) >= spec.max_subdivisions:
+            raise AccuracyError(
+                f"quadrature did not converge in {len(pieces)} subintervals",
+                best_estimate=value, error_estimate=error,
+            )
+        worst, a, b, piece = heapq.heappop(pieces)
+        value, error = value - piece, error + worst
+        mid = 0.5 * (a + b)
+        for left, right in ((a, mid), (mid, b)):
+            part, part_error = _kronrod(f, left, right)
+            heapq.heappush(pieces, (-part_error, left, right, part))
+            value, error = value + part, error + part_error
 
 
 # Half-width of the quadrature windows, in position spreads.

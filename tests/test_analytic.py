@@ -374,6 +374,15 @@ def test_squares_just_below_the_float_range_are_accepted():
     assert math.isfinite(g.moments_at(g.free_particle(), g.make_params(hbar=1e154), 0.0).kinetic)
 
 
+@pytest.mark.parametrize("system", [g.harmonic_oscillator(8.0), g.inverted_oscillator(8.0)])
+def test_chirp_divisor_that_underflows_is_refused(system):
+    """2*hbar*|A|**2 divides the chirp Im(a); with hbar = 6e-248 and
+    |A| = beta = 6.7e-160 it underflows to 0, which raised ZeroDivisionError."""
+    params = g.make_params(hbar=6.088798310114892e-248, alpha=1.0929703959470301e+88)
+    with pytest.raises(g.ParameterError, match=re.escape("2*hbar*|A|**2 underflows to 0")):
+        g.state_at(system, params, 0.0)
+
+
 @pytest.mark.parametrize("t", [1e-300, -1e-300])
 def test_oscillator_phase_that_underflows_is_zero(t):
     """The envelope's phase, gamma*sin/(beta*cos), is below the smallest

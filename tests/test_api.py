@@ -105,13 +105,36 @@ def test_grid_checks_load_no_scipy(tmp_path):
     assert codes == [0, 0, 0] and scipy == []
 
 
-def test_quadrature_loads_scipy():
+def test_quadrature_loads_no_scipy():
     script = ("import sys, gausspack\n"
               "gausspack.integrate(abs, (-1.0, 1.0))\n"
-              "print('scipy.integrate' in sys.modules)\n")
+              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "True\n"
+    assert proc.stdout == "[]\n"
+
+
+def test_every_command_and_quadrature_run_without_scipy(tmp_path):
+    """With sys.modules["scipy"] = None, any import of scipy raises
+    ImportError: every CLI command and a quadrature still succeed."""
+    commands = [
+        ["evolve", "--preset", "fig1", "--combined", "--out", str(tmp_path / "e.csv")],
+        ["fractions", "--preset", "fig3", "--out", str(tmp_path / "f.csv")],
+        ["figure", "--preset", "fig2-middle", "--out", str(tmp_path / "g.svg")],
+        ["validate", "--out", str(tmp_path / "v.json")],
+    ]
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import gausspack\n"
+        "from gausspack import cli\n"
+        f"codes = [cli.main(args) for args in {commands!r}]\n"
+        "print(json.dumps([codes, gausspack.integrate(abs, (-1.0, 1.0)).value]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0], 1.0]
+    assert json.loads((tmp_path / "v.json").read_text())["all_pass"] is True
 
 
 def test_records_are_immutable_named_tuples(four_cases):

@@ -448,7 +448,8 @@ def test_overflowing_frequency_is_a_usage_error(capsys):
 # Inputs that each ended in a raw Python traceback (exit 1): a frequency
 # whose square underflows to 0 (exit 64 now, refused where the system is
 # built), gamma = hbar/(mass*omega*beta) with mass*omega*beta underflowing
-# to 0, and a quadratic coefficient |a| with no float square.
+# to 0, a quadratic coefficient |a| with no float square, and the chirp's
+# divisor 2*hbar*|A|**2 underflowing to 0 (a tiny hbar, a huge alpha).
 _RAW_TRACEBACKS = {
     "omega_tilde-square-underflows": (64, "fractions", {
         "system": "inverted", "omega_tilde": 1.1315473779143406e-240,
@@ -460,6 +461,11 @@ _RAW_TRACEBACKS = {
     "quad-coeff-square-overflows": (1, "figure", {
         "system": "free", "alpha": 1e-80, "times": [0.0],
         "outputs": ["psi", "prob", "kedensity"]}),
+    "chirp-divisor-underflows": (1, "figure", {
+        "system": "inverted", "omega_tilde": 8.081517551373508,
+        "hbar": 6.088798310114892e-248, "mass": 6.52758258167745,
+        "alpha": 1.0929703959470301e+88, "p0": 8.70400261481397,
+        "times": [-0.0, 5.939983404999195]}),
 }
 
 

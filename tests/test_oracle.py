@@ -1,11 +1,15 @@
 import math
+import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 import gausspack as g
-from gausspack.oracle import _packet_grid, _upper_half_integral
+from gausspack.oracle import (
+    _GAUSS_W, _KRONROD_W, _KRONROD_X, _packet_grid, _upper_half_integral,
+)
 from gausspack.validation import _cases
 
 from conftest import FOUR_CASES
@@ -54,6 +58,99 @@ def test_integrate_reports_nonconvergence():
         g.integrate(f, (-1.0, 1.0), spec)
     assert info.value.best_estimate is not None
     assert info.value.error_estimate is not None
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: math.inf,
+    lambda x: math.nan,
+    lambda x: -math.inf if x > 0.5 else 1.0,
+    lambda x: 1.5e308,  # finite samples, whose integral over (-1, 1) is not
+], ids=["inf", "nan", "inf-on-one-side", "integral-overflows"])
+def test_integrate_refuses_a_non_finite_integrand(f):
+    with pytest.raises(g.AccuracyError, match="non-finite"):
+        g.integrate(f, (-1.0, 1.0))
+
+
+def test_non_finite_sample_after_bisection_keeps_the_best_estimate():
+    """A NaN at x = 0.5, the centre of the second piece of (-1, 1), is met
+    only after the first bisection: the whole-window estimate is attached."""
+    f = lambda x: math.nan if x == 0.5 else abs(x - 0.3)
+    with pytest.raises(g.AccuracyError, match="non-finite") as info:
+        g.integrate(f, (-1.0, 1.0))
+    best, error = info.value.best_estimate, info.value.error_estimate
+    assert 0.0 < abs(best - 1.09) <= error < math.inf  # 1.09 = (1.3**2 + 0.7**2)/2
+
+
+def test_kronrod_rule_is_exact_for_polynomials():
+    """The 21-point Kronrod rule integrates x**k over [-1, 1] exactly for
+    k <= 31 and its embedded 10-point Gauss rule for k <= 19, neither one
+    degree further; the Gauss nodes and weights are numpy's."""
+    half = np.array(_KRONROD_X)
+    nodes = np.concatenate([-half, [0.0], half[::-1]])
+    kronrod = np.concatenate([_KRONROD_W, _KRONROD_W[9::-1]])
+    gauss_half = np.zeros(10)
+    gauss_half[1::2] = _GAUSS_W
+    gauss = np.concatenate([gauss_half, [0.0], gauss_half[::-1]])
+    for weights, degree in ((kronrod, 31), (gauss, 19)):
+        for k in range(degree + 2):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            error = abs(math.fsum(weights * nodes**k) - exact)
+            assert (error < 1e-15) == (k <= degree), (degree, k, error)
+    x, w = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(nodes[gauss != 0.0], x, rtol=0.0, atol=1e-16)
+    np.testing.assert_allclose(gauss[gauss != 0.0], w, rtol=0.0, atol=1e-15)
+
+
+def _closed_form_integrals():
+    """(f, window, exact integral, scale): the suite's test integrands, and
+    the kinetic density on both half windows of seeded packets of the four
+    systems, against half_energies; errors are relative to scale."""
+    cases = [
+        (lambda x: math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi), (-12.0, 12.0), 1.0, 1.0),
+        (lambda x: math.exp(-x * x) * math.cos(3.0 * x), (-10.0, 10.0),
+         math.sqrt(math.pi) * math.exp(-2.25), 1.0),
+        (abs, (-1.0, 1.0), 1.0, 1.0),
+        (lambda x: 1.0, (0.0, 1.0), 1.0, 1.0),
+    ]
+    free, params = g.free_particle(), g.make_params(alpha=1.0, p0=0.5)
+    t = 5.0 * params.t0
+    cases.append((g.state_at(free, params, t).prob, g.packet_window(free, params, t), 1.0, 1.0))
+    rng = np.random.default_rng(24)
+    for system in (g.free_particle(), g.uniform_acceleration(0.8),
+                   g.harmonic_oscillator(1.3), g.inverted_oscillator(0.8)):
+        for _ in range(6):
+            params = g.make_params(alpha=float(rng.uniform(0.5, 2.0)),
+                                   p0=float(rng.uniform(-2.0, 2.0)))
+            t = float(rng.uniform(-2.0, 2.0))
+            split = g.half_energies(system, params, t)
+            density = partial(g.kinetic_density, system, params, t=t)
+            lo_win, hi_win = g.half_windows(system, params, t)
+            cases.append((density, hi_win, split.plus, split.total))
+            cases.append((density, lo_win, split.minus, split.total))
+    return cases
+
+
+def test_integrate_agrees_with_quadpack():
+    """QUADPACK (scipy.integrate.quad, a test dependency) is the reference:
+    on every case both rules meet the closed form within 1e-8, perfbench's
+    halves tolerance, and on a non-converging integrand both give up."""
+    from scipy.integrate import IntegrationWarning, quad
+
+    spec = g.QuadratureSpec()
+    for f, window, exact, scale in _closed_form_integrals():
+        ours = g.integrate(f, window, spec)
+        reference, _ = quad(f, *window, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+                            limit=spec.max_subdivisions)
+        assert abs(ours.value - exact) <= 1e-8 * scale
+        assert abs(reference - exact) <= 1e-8 * scale
+        assert abs(ours.value - reference) <= 1e-8 * scale
+    f = lambda x: math.sin(1.0 / (abs(x) + 1e-6))
+    with pytest.raises(g.AccuracyError):
+        g.integrate(f, (-1.0, 1.0), g.QuadratureSpec(max_subdivisions=10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        with pytest.raises(IntegrationWarning):
+            quad(f, -1.0, 1.0, epsabs=1e-14, epsrel=1e-10, limit=10)
 
 
 def test_quadrature_spec_validation():
