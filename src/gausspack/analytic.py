@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ParameterError, TimeRangeError
 from .quantities import (
-    SystemKind, _as_int, _require_finite, _require_squarable, _require_window, _shown,
+    SystemKind, _require_count, _require_finite, _require_squarable, _require_window,
 )
 
 __all__ = [
@@ -229,14 +229,15 @@ _OSCILLATORS = {
 
 
 def _gamma(params, omega):
-    """gamma = hbar/(mass*omega*beta), the envelope's second width, if 0 < gamma < inf."""
+    """gamma = hbar/(mass*omega*beta), the envelope's second width: positive,
+    with a float square (one that underflows to 0 is harmless next to beta**2)."""
     try:
         gamma = params.hbar / (params.mass * omega * params.beta)
     except ZeroDivisionError:  # mass*omega*beta underflowed to 0
         gamma = math.inf
-    if not 0.0 < gamma < math.inf:
+    if not (gamma > 0.0 and gamma * gamma < math.inf):
         raise ParameterError(
-            f"gamma = hbar/(mass*omega*beta) must be finite and non-zero, got {gamma!r}")
+            f"gamma = hbar/(mass*omega*beta) must be positive and below 1.3e154, got {gamma!r}")
     return gamma
 
 
@@ -394,10 +395,7 @@ def sample_grid(system, params, t, window, n):
     window is an (xmin, xmax) pair with xmin < xmax; n >= 2.
     """
     xmin, xmax = _require_window("window", window)
-    count = _as_int(n)
-    if count is None or count < 2:
-        raise ParameterError(f"n must be an integer >= 2, got {_shown(n)}")
-
+    count = _require_count("n", n, 2)
     state = state_at(system, params, t)
     xs = np.linspace(xmin, xmax, count)
     psi = state.psi(xs)

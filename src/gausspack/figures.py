@@ -106,7 +106,8 @@ def _panel_title(scenario, t):
 
 
 def _ticks(lo, hi, count=5):
-    return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
+    # (hi - lo) * (i / (count - 1)) cannot overflow where i * (hi - lo) would.
+    return [lo + (hi - lo) * (i / (count - 1)) for i in range(count)]
 
 
 def _render_panel(out, panel, px, py):
@@ -114,8 +115,9 @@ def _render_panel(out, panel, px, py):
     xlo, xhi = float(xs[0]), float(xs[-1])
     ylo = min(float(np.min(ys)) for _, _, _, ys in panel.curves)
     yhi = max(float(np.max(ys)) for _, _, _, ys in panel.curves)
-    if yhi <= ylo:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
+    if yhi <= ylo:  # a flat panel: 1 either side, or an ulp where 1 is absorbed
+        half = max(1.0, math.ulp(ylo))
+        ylo, yhi = ylo - half, yhi + half
     pad = 0.06 * (yhi - ylo)
     ylo -= pad
     yhi += pad

@@ -50,6 +50,7 @@ from .quantities import (
     SystemKind,
     SystemSpec,
     _as_int,
+    _require_count,
     _require_finite,
     _require_positive,
     _require_window,
@@ -81,10 +82,8 @@ class QuadratureSpec:
     def __post_init__(self):
         _store_checked(self, "rel_tol", _require_positive)
         _store_checked(self, "abs_tol", _require_positive)
-        count = _as_int(self.max_subdivisions)
-        if count is None or count < 10:
-            raise ParameterError("max_subdivisions must be an integer >= 10")
-        object.__setattr__(self, "max_subdivisions", count)
+        object.__setattr__(self, "max_subdivisions",
+                           _require_count("max_subdivisions", self.max_subdivisions, 10))
 
 
 class IntegralResult(NamedTuple):
@@ -312,9 +311,9 @@ class PropagatorSpec:
     def __post_init__(self):
         object.__setattr__(self, "domain", _require_window("domain", self.domain))
         _store_checked(self, "dt", _require_positive)
-        n = _as_int(self.n_grid)
-        if n is None or n < 16 or n & (n - 1):
-            raise ParameterError("n_grid must be a power of two, at least 16")
+        n = _require_count("n_grid", self.n_grid, 16)
+        if n & (n - 1):
+            raise ParameterError(f"n_grid must be a power of two, got {n}")
         object.__setattr__(self, "n_grid", n)
         order = _as_int(self.order)
         if order not in _STEP_WEIGHTS:

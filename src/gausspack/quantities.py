@@ -96,6 +96,14 @@ def _require_positive(name, value):
     return number
 
 
+def _require_count(name, value, minimum):
+    """value as an int of at least minimum: the one rule behind every count."""
+    count = _as_int(value)
+    if count is None or count < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
+    return count
+
+
 def _require_squarable(name, value):
     """_require_finite, also refusing a value whose `**2` would overflow."""
     number = _require_finite(name, value)
@@ -268,5 +276,5 @@ class OscillatorDerived:
 def oscillator_derived(constants, omega):
     """Return beta0 = sqrt(hbar/(mass*omega)) and tau = 2*pi/omega."""
     omega = _require_positive("omega", omega)
-    beta0 = math.sqrt(constants.hbar / (constants.mass * omega))
+    beta0 = math.sqrt(constants.hbar / _require_positive("mass*omega", constants.mass * omega))
     return OscillatorDerived(beta0=beta0, tau=2.0 * math.pi / omega)

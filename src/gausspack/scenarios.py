@@ -35,12 +35,14 @@ Relative units (times in t0 or tau, windows in units of the
 instantaneous position spread, beta in units of the oscillator ground
 width, p0 in units of the momentum spread or the asymmetry-extremal
 value) are resolved at load time against the scenario's own parameters.
+Numbers pass the quantities rules the records use before anything is
+derived from them, and every refusal names the document field it came from.
 """
 
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ._textio import dumps_stable
 from .analytic import _spread_window
@@ -51,11 +53,12 @@ from .quantities import (
     PhysicalConstants,
     SystemKind,
     SystemSpec,
-    make_params,
     oscillator_derived,
     _SHAPE_FIELD,
-    _as_float,
-    _as_int,
+    _require_count,
+    _require_finite,
+    _require_positive,
+    _require_window,
 )
 
 __all__ = [
@@ -108,13 +111,17 @@ def _fail(field, message):
     raise ScenarioError(f"field {field!r}: {message}", field)
 
 
-def _as_number(field, value):
-    number = _as_float(value)
-    if number is None:
-        _fail(field, f"expected a number, got {value!r}")
-    if not math.isfinite(number):
-        _fail(field, "must be finite")
-    return number
+def _gated(field, build, *args, **kwargs):
+    """build(*args, **kwargs), a quantities rule's refusal there named as field."""
+    try:
+        return build(*args, **kwargs)
+    except ParameterError as exc:
+        _fail(field, str(exc))
+
+
+def _number(doc, key, rule, default=None):
+    """doc[key], or default, as the quantities rule accepts it; refused under key."""
+    return _gated(key, rule, key, doc.get(key, default))
 
 
 def _parse_document(source):
@@ -176,17 +183,12 @@ def _build_scenario(doc, lax):
     except ValueError:
         _fail("system", f"expected one of {[k.value for k in SystemKind]}, got {kind_raw!r}")
 
-    try:
-        system = _build_system(doc, kind)
-        params = _build_params(doc, kind, system)
-    except ParameterError as exc:  # from a quantities gate, which names the field first
-        _fail(str(exc).split()[0], str(exc))
-    times = _build_times(doc, kind, system, params, lax)
-    window = _build_window(doc, lax)
+    system = _build_system(doc, kind)
+    params = _build_params(doc, kind, system)
+    times = _gated("times", _build_times, doc, kind, system, params, lax)
+    window = _gated("window", _build_window, doc, lax)
     outputs = _build_outputs(doc)
-    grid_n = _as_int(doc.get("grid_n", 512))
-    if grid_n is None or grid_n < 16:
-        _fail("grid_n", f"expected an integer >= 16, got {doc['grid_n']!r}")
+    grid_n = _gated("grid_n", _require_count, "grid_n", doc.get("grid_n", 512), 16)
 
     return Scenario(
         name=name, system=system, params=params, times=times,
@@ -203,13 +205,13 @@ def _build_system(doc, kind):
         return SystemSpec(kind=kind)
     if needed not in doc:
         _fail(needed, f"required for the {kind.value} system")
-    return SystemSpec(kind=kind, **{needed: _as_number(needed, doc[needed])})
+    return _gated(needed, SystemSpec, kind=kind, **{needed: doc[needed]})
 
 
 def _build_params(doc, kind, system):
-    hbar = _as_number("hbar", doc.get("hbar", 1.0))
-    mass = _as_number("mass", doc.get("mass", 1.0))
-    x0 = _as_number("x0", doc.get("x0", 0.0))
+    constants = PhysicalConstants(_number(doc, "hbar", _require_positive, 1.0),
+                                  _number(doc, "mass", _require_positive, 1.0))
+    x0 = _number(doc, "x0", _require_finite, 0.0)
     if x0 != 0.0 and kind in (SystemKind.HARMONIC, SystemKind.INVERTED):
         _fail("x0", f"must be 0 for the {kind.value} system")
 
@@ -219,35 +221,32 @@ def _build_params(doc, kind, system):
     if not width_keys:
         alpha = 1.0
     elif width_keys[0] == "alpha":
-        alpha = _as_number("alpha", doc["alpha"])
+        alpha = doc["alpha"]  # PacketParams refuses it
     elif width_keys[0] == "beta":
-        alpha = _as_number("beta", doc["beta"]) / hbar
+        alpha = _number(doc, "beta", _require_positive) / constants.hbar
     else:
         if kind not in (SystemKind.HARMONIC, SystemKind.INVERTED):
             _fail("beta_over_beta0", "requires an oscillator system")
-        ratio = _as_number("beta_over_beta0", doc["beta_over_beta0"])
-        omega = system.shape
-        beta0 = oscillator_derived(PhysicalConstants(hbar, mass), omega).beta0
-        alpha = ratio * beta0 / hbar
-    if alpha <= 0:
-        _fail(width_keys[0] if width_keys else "alpha", "must resolve to a positive width")
+        ratio = _number(doc, "beta_over_beta0", _require_positive)
+        beta0 = _gated("beta_over_beta0", oscillator_derived, constants, system.shape).beta0
+        alpha = ratio * beta0 / constants.hbar
+    # A refused scale (alpha, beta, t0) is named by the width key, else by
+    # the constant that set it; with neither given every scale is 1.
+    scale_key = next((k for k in (*width_keys, "hbar", "mass") if k in doc), None)
+    base = _gated(scale_key, PacketParams, constants, alpha, x0, 0.0)
 
     momentum_keys = [k for k in ("p0", "p0_over_dp0") if k in doc]
     if len(momentum_keys) > 1:
         _fail("p0_over_dp0", "conflicts with 'p0'")
-    base = make_params(hbar, mass, alpha, x0, 0.0)
     if not momentum_keys:
-        p0 = 0.0
-    elif momentum_keys[0] == "p0_over_dp0":
-        p0 = _as_number("p0_over_dp0", doc["p0_over_dp0"]) * base.dp0
+        return base
+    if momentum_keys[0] == "p0_over_dp0":
+        p0 = _number(doc, "p0_over_dp0", _require_finite) * base.dp0
     elif doc["p0"] == "extremal":
-        try:
-            p0 = extremal_p0(system, base)
-        except ParameterError as exc:
-            _fail("p0", str(exc))
+        p0 = _gated("p0", extremal_p0, system, base)
     else:
-        p0 = _as_number("p0", doc["p0"])
-    return make_params(hbar, mass, alpha, x0, p0)
+        p0 = doc["p0"]  # PacketParams refuses it
+    return _gated(momentum_keys[0], replace, base, p0=p0)
 
 
 def _time_scale(unit, kind, system, params):
@@ -266,10 +265,11 @@ def _build_times(doc, kind, system, params, lax=False):
     raw = doc.get("times")
     if raw is None:
         _fail("times", "required")
-    scale = 1.0
+    unit, scale = "abs", 1.0
     if isinstance(raw, dict):
         _check_keys(raw, {"unit", "values", "linspace"}, lax, context="'times'")
-        scale = _time_scale(raw.get("unit", "abs"), kind, system, params)
+        unit = raw.get("unit", "abs")
+        scale = _time_scale(unit, kind, system, params)
         if ("values" in raw) == ("linspace" in raw):
             _fail("times", "give exactly one of 'values' or 'linspace'")
         if "values" in raw:
@@ -278,16 +278,15 @@ def _build_times(doc, kind, system, params, lax=False):
             lin = raw["linspace"]
             if not (isinstance(lin, list) and len(lin) == 3):
                 _fail("times", "'linspace' must be [lo, hi, n]")
-            lo = _as_number("times", lin[0])
-            hi = _as_number("times", lin[1])
-            n = _as_int(lin[2])
-            if n is None or n < 2 or hi <= lo:
-                _fail("times", "'linspace' must be [lo, hi, n>=2] with lo < hi")
+            lo, hi = _require_window("times linspace", lin[:2])
+            n = _require_count("times linspace n", lin[2], 2)
             step = (hi - lo) / (n - 1)
             raw = [lo + i * step for i in range(n)]
     if not (isinstance(raw, list) and raw):
         _fail("times", "expected a non-empty list of numbers")
-    return tuple(_as_number("times", v) * scale for v in raw)
+    # Each time is refused as given, and again once scaled, which may overflow.
+    scaled = f"times in unit {unit!r}"
+    return tuple(_require_finite(scaled, _require_finite("times", v) * scale) for v in raw)
 
 
 def _build_window(doc, lax=False):
@@ -295,21 +294,12 @@ def _build_window(doc, lax=False):
     if raw is None:
         return RelativeWindow(halfwidth=8.0)
     if isinstance(raw, list):
-        if len(raw) != 2:
-            _fail("window", "absolute window must be [xmin, xmax]")
-        lo = _as_number("window", raw[0])
-        hi = _as_number("window", raw[1])
-        if hi <= lo:
-            _fail("window", "xmin must be below xmax")
-        return AbsoluteWindow(lo=lo, hi=hi)
+        return AbsoluteWindow(*_require_window("window", raw))
     if isinstance(raw, dict):
         _check_keys(raw, {"unit", "halfwidth"}, lax, context="'window'")
         if raw.get("unit") != "dx_t":
             _fail("window", "relative window unit must be 'dx_t'")
-        half = _as_number("window", raw.get("halfwidth"))
-        if half <= 0:
-            _fail("window", "halfwidth must be positive")
-        return RelativeWindow(halfwidth=half)
+        return RelativeWindow(_require_positive("window halfwidth", raw.get("halfwidth")))
     _fail("window", f"expected a [xmin, xmax] pair or unit object, got {raw!r}")
 
 

@@ -383,6 +383,18 @@ def test_chirp_divisor_that_underflows_is_refused(system):
         g.state_at(system, params, 0.0)
 
 
+@pytest.mark.parametrize("system", [g.harmonic_oscillator(1.6e-162),
+                                    g.inverted_oscillator(1.6e-162)])
+def test_gamma_with_no_float_square_is_refused(system):
+    """gamma = hbar/(mass*omega*beta) = 6.25e161 squares to inf, which made
+    Im(a) = -inf and r_plus = inf; total_kinetic uses no gamma and answers."""
+    params = g.make_params(p0=1.0)
+    for fn in (g.state_at, g.half_energies):
+        with pytest.raises(g.ParameterError, match=re.escape("gamma = hbar/(mass*omega*beta)")):
+            fn(system, params, 1.0)
+    assert math.isfinite(g.total_kinetic(system, params, 1.0))
+
+
 @pytest.mark.parametrize("t", [1e-300, -1e-300])
 def test_oscillator_phase_that_underflows_is_zero(t):
     """The envelope's phase, gamma*sin/(beta*cos), is below the smallest

@@ -278,7 +278,7 @@ def test_overflowing_integer_time_is_a_usage_error(run_cli):
     })
     code, out, err = run_cli("fractions", "--scenario", doc)
     assert code == 64 and out == ""
-    assert err == "gausspack: error: field 'times': must be finite\n"
+    assert err == f"gausspack: error: field 'times': times must be a finite number, got {10**400}\n"
     # Past Python's 4300-digit limit the integer cannot even be parsed.
     doc = doc.replace(str(10**400), "1" + "0" * 5000)
     code, out, err = run_cli("fractions", "--scenario", doc)
@@ -479,6 +479,66 @@ def test_underflowing_and_overflowing_inputs_are_refused(case, run_cli, tmp_path
     assert err.startswith("gausspack: error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# Scenario documents the loader refused with a raw ZeroDivisionError (the
+# first two), named a field the document does not hold (the next four), or
+# passed with a scaled time that overflows (exit 1 later).  Each key is the
+# document field the refusal names now.
+_LOADER_REFUSALS = {
+    "hbar-zero-beta": ("hbar", {"system": "free", "hbar": 0.0, "beta": 1.0}),
+    "mass-omega-underflows": ("beta_over_beta0", {
+        "system": "sho", "omega": 1e-160, "mass": 1e-200, "beta_over_beta0": 1.0}),
+    "t0-underflows": ("alpha", {"system": "free", "alpha": 1e-200, "times": [1.0]}),
+    "alpha-overflows": ("beta", {"system": "free", "hbar": 1e-300, "beta": 1e300}),
+    "p0-overflows": ("p0_over_dp0", {"system": "free", "p0_over_dp0": 1e300, "alpha": 1e-10}),
+    "beta-underflows": ("alpha", {
+        "system": "sho", "omega": 1.0, "hbar": 1e-300, "alpha": 1e-100}),
+    "scaled-time-overflows": ("times", {
+        "system": "free", "alpha": 1e5, "mass": 1e10,
+        "times": {"unit": "t0", "values": [1e300]}}),
+}
+
+
+@pytest.mark.parametrize("case", _LOADER_REFUSALS)
+def test_loader_refusal_names_the_document_key(case, capsys, tmp_path):
+    field, doc = _LOADER_REFUSALS[case]
+    doc = json.dumps({"version": 1, "name": "f", "times": [0.0], **doc})
+    with pytest.raises(g.ScenarioError) as info:
+        g.load_scenario(doc)
+    assert info.value.field == field
+    code = cli.main(["fractions", "--scenario", doc, "--out", str(tmp_path / "f.csv")])
+    err = capsys.readouterr().err
+    assert code == 64 and err.count("\n") == 1
+    assert err.startswith(f"gausspack: error: field {field!r}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Figures whose axes overflowed or divided by zero: ticks i*(hi - lo)/4 past
+# the float range wrote "inf" at exit 0, and a flat panel at 6e29, where
+# +-1 is absorbed, raised ZeroDivisionError.  The first grid does not
+# resolve its packet, so numpy warns (see tests/test_fuzz.py).
+_FIGURE_AXES = {
+    "ticks-overflow": {
+        "system": "sho", "omega": 1.1959744427366214e-84, "hbar": 4.559363849015301e+151,
+        "times": [-4.312809352175276e+86, 1.0833562818355007e-146], "grid_n": 16,
+        "window": [-5.0316424293039425e-232, 1e+308],
+        "outputs": ["psi", "prob", "kedensity", "scaled"]},
+    "flat-panel": {
+        "system": "sho", "omega": 1.567006559478298e+61, "beta_over_beta0": 2.8695689437683205,
+        "times": {"linspace": [-0.0, 1.6908666387864368, 3]},
+        "window": {"unit": "dx_t", "halfwidth": 1.658688393039849e-72},
+        "outputs": ["psi", "prob"], "grid_n": 48},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", _FIGURE_AXES)
+def test_figure_axes_stay_finite(case, tmp_path):
+    doc = json.dumps({"version": 1, "name": "f", **_FIGURE_AXES[case]})
+    assert cli.main(["figure", "--scenario", doc, "--out", str(tmp_path / "f.svg")]) == 0
+    svg = (tmp_path / "f.svg").read_text()
+    assert "inf" not in svg and "nan" not in svg
 
 
 # 2^15 grid points at two times: every table, and every SVG polyline, is at

@@ -1,6 +1,7 @@
 import dataclasses
 import fractions
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,3 +201,9 @@ def test_oscillator_derived_scales():
     derived = g.oscillator_derived(g.PhysicalConstants(hbar=2.0, mass=0.5), 4.0)
     assert derived.beta0 == 1.0
     assert abs(derived.tau - math.pi / 2.0) < 1e-15
+
+
+def test_oscillator_derived_refuses_a_mass_omega_that_underflows():
+    """hbar/(mass*omega) divided by a product that underflowed to 0."""
+    with pytest.raises(g.ParameterError, match=re.escape("mass*omega must be a finite positive")):
+        g.oscillator_derived(g.PhysicalConstants(1.0, 1e-200), 1e-160)
