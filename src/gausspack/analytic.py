@@ -31,7 +31,9 @@ Numerical care taken here:
 """
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -153,15 +155,20 @@ class Moments(NamedTuple):
     energy: float
 
 
+def _drifting_geometry(params, t, force):
+    """(z, center, width) of a free or uniformly accelerated packet, z = 1 + i*t/t0."""
+    p0, mass = params.p0, params.mass
+    z = complex(1.0, t / params.t0)
+    center = params.x0 + p0 * t / mass + force * t * t / (2.0 * mass)
+    return z, center, params.beta * abs(z)
+
+
 def _drifting_state(params, t, force):
     """Free and uniformly accelerated packets share one solution family."""
     hbar, mass = params.hbar, params.mass
     beta, t0, p0, x0 = params.beta, params.t0, params.p0, params.x0
 
-    z = complex(1.0, t / t0)
-    abs_z = abs(z)
-    width = beta * abs_z
-    center = x0 + p0 * t / mass + force * t * t / (2.0 * mass)
+    z, center, width = _drifting_geometry(params, t, force)
     p_t = p0 + force * t
 
     quad = 1.0 / (2.0 * beta * beta * z)
@@ -171,7 +178,7 @@ def _drifting_state(params, t, force):
         - p_t * (x0 + p0 * t / (2.0 * mass))
     ) / hbar - 0.5 * math.atan2(t / t0, 1.0)
     norm = 1.0 / math.sqrt(_SQRT_PI * width)
-    return PacketState(t, center, width, quad, lin, const, norm)
+    return tuple.__new__(PacketState, (t, center, width, quad, lin, const, norm))
 
 
 def _per_element(fn, *args):
@@ -183,10 +190,16 @@ def _per_element(fn, *args):
     on floats.  So the array path gives the scalar path's bits.  A
     function returning k values gives k rows.  For a float time the
     callers call fn(*args) directly: this dispatch would cost more than
-    the math.
+    the math.  _mapped is the cheaper form for one value per element.
     """
     columns = [arg.tolist() for arg in np.broadcast_arrays(*args)]
     return np.array(list(map(fn, *columns)), dtype=float).T
+
+
+def _mapped(fn, *args):
+    """fn over float64 arrays of one length, a float argument repeated: a float64 array."""
+    columns = [repeat(arg) if type(arg) is float else arg.tolist() for arg in args]
+    return np.fromiter(map(fn, *columns), float)
 
 
 def _harmonic_factors(z):
@@ -222,9 +235,14 @@ def _inverted_factors(z):
 # continued to omega -> i*omega_tilde: cos and sin become cosh and sinh, and
 # omega**2 changes sign.  The harmonic grow = grow2 = 1.0 and sign = +1 make
 # exact products, so the shared closed forms keep each system's bits.
+#
+# Over an array of times, the plain cos and sin (cosh and sinh) are mapped
+# at once when every |z| is within the bound, where the factor functions
+# would return grow = grow2 = 1.0 and raise nothing: finite z for the
+# harmonic oscillator, |z| <= 30 for the inverted one.
 _OSCILLATORS = {
-    SystemKind.HARMONIC: (1.0, _harmonic_factors),
-    SystemKind.INVERTED: (-1.0, _inverted_factors),
+    SystemKind.HARMONIC: (1.0, _harmonic_factors, sys.float_info.max, math.cos, math.sin),
+    SystemKind.INVERTED: (-1.0, _inverted_factors, _HYPERBOLIC_SPLIT, math.cosh, math.sinh),
 }
 
 
@@ -241,21 +259,31 @@ def _gamma(params, omega):
     return gamma
 
 
+def _oscillator_geometry(params, omega, grow, c, s):
+    """(center, width, gamma, A, 2*hbar*|A|**2) of a harmonic or inverted packet.
+
+    A = beta*c + i*gamma*s is the complex envelope; a 2*hbar*|A|**2 that
+    underflows to 0 (a tiny hbar times a huge alpha) is refused here.
+    """
+    hbar = params.hbar
+    gamma = _gamma(params, omega)
+    envelope = complex(params.beta * c, gamma * s)
+    abs_env = abs(envelope)
+    chirp_scale = 2.0 * hbar * abs_env * abs_env
+    if chirp_scale == 0.0:
+        raise ParameterError(
+            f"2*hbar*|A|**2 underflows to 0 (hbar = {hbar!r}, |A| = {abs_env!r})")
+    center = params.p0 * grow * s / (params.mass * omega)
+    return center, grow * abs_env, gamma, envelope, chirp_scale
+
+
 def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
     """Harmonic and inverted oscillator packets share one solution family."""
     hbar, mass = params.hbar, params.mass
     beta, p0 = params.beta, params.p0
 
-    gamma = _gamma(params, omega)
-    envelope = complex(beta * c, gamma * s)
-    abs_env = abs(envelope)
-    width = grow * abs_env
-    center = p0 * grow * s / (mass * omega)
-
-    chirp_scale = 2.0 * hbar * abs_env * abs_env
-    if chirp_scale == 0.0:  # a tiny hbar times a huge alpha underflowed
-        raise ParameterError(
-            f"2*hbar*|A|**2 underflows to 0 (hbar = {hbar!r}, |A| = {abs_env!r})")
+    center, width, gamma, envelope, chirp_scale = _oscillator_geometry(
+        params, omega, grow, c, s)
     quad = complex(
         1.0 / (2.0 * width * width),
         sign * mass * omega * (beta * beta - sign * gamma * gamma) * s * c
@@ -269,7 +297,7 @@ def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
     if sign > 0 and round((omega * t - arg) / (2.0 * math.pi)) % 2:
         const -= math.pi
     norm = 1.0 / math.sqrt(_SQRT_PI * width)
-    return PacketState(t, center, width, quad, lin, const, norm)
+    return tuple.__new__(PacketState, (t, center, width, quad, lin, const, norm))
 
 
 def _checked(system, params, t):
@@ -285,10 +313,13 @@ def _checked(system, params, t):
 def _checked_times(system, params, times):
     """_checked over a non-empty list of times: a float64 array, and terms.
 
-    A bad time raises what _checked raises for the first bad time.
+    A list of floats is gated by one finiteness test over its array.  A
+    bad time raises what _checked raises for the first bad time.
     """
     try:
-        t = np.array([_require_finite("t", v) for v in times], dtype=float)
+        t = np.array(times) if set(map(type, times)) == {float} else None
+        if t is None or not np.isfinite(t).all():
+            t = np.array([_require_finite("t", v) for v in times], dtype=float)
         return t, _terms(system, params, t)
     except (ParameterError, TimeRangeError):
         for v in times:
@@ -299,7 +330,8 @@ def _checked_times(system, params, times):
 def _terms(system, params, t):
     """(omega, sign, grow, grow2, c, s) of an oscillator at t, or None.
 
-    t is a float or a float64 array; grow, grow2, c and s follow it.
+    t is a float or a float64 array; c and s follow it, and so do grow
+    and grow2 unless they are 1.0 at every time.
     """
     kind = system.kind
     oscillator = _OSCILLATORS.get(kind)
@@ -307,10 +339,14 @@ def _terms(system, params, t):
         return None
     if params.x0 != 0.0:
         raise ParameterError(f"{kind.value} solutions are implemented for x0 = 0 only")
-    sign, factors = oscillator
+    sign, factors, bound, cos, sin = oscillator
     omega = system.shape
     z = omega * t
-    return omega, sign, *(factors(z) if type(z) is float else _per_element(factors, z))
+    if type(z) is float:
+        return omega, sign, *factors(z)
+    if np.abs(z).max() <= bound:
+        return omega, sign, 1.0, 1.0, _mapped(cos, z), _mapped(sin, z)
+    return omega, sign, *_per_element(factors, z)
 
 
 def state_at(system, params, t):
@@ -351,32 +387,35 @@ def moments_at(system, params, t):
     hbar, mass = params.hbar, params.mass
     beta, p0 = params.beta, params.p0
     force = system.shape  # read by the drifting branches only
-    state = (_drifting_state(params, t, force) if terms is None
-             else _oscillator_state(params, t, *terms))
+    if terms is None:
+        _, center, width = _drifting_geometry(params, t, force)
+    else:
+        omega, sign, grow, grow2, c, s = terms
+        center, width, *_ = _oscillator_geometry(params, omega, grow, c, s)
     try:
-        var_x = state.width**2 / 2.0
+        var_x = width**2 / 2.0
         if terms is None:
             mean_p = p0 + force * t
             var_p = 1.0 / (2.0 * params.alpha**2)
-            potential = -force * state.center
+            potential = -force * center
             energy = (p0**2 + var_p) / (2.0 * mass) - force * params.x0
         else:
-            omega, sign, grow, grow2, c, s = terms
             mean_p = p0 * grow * c
             var_p = grow2 * ((hbar * hbar / (2.0 * beta * beta)) * c * c
                              + (mass * omega * beta) ** 2 * s * s / 2.0)
             # <V> = sign * mass*omega**2*<x**2>/2 with <x**2> = center**2 + var_x.
-            potential = sign * 0.5 * mass * omega**2 * (state.center**2 + var_x)
+            potential = sign * 0.5 * mass * omega**2 * (center**2 + var_x)
             e_kin0 = (p0 * p0 + hbar * hbar / (2.0 * beta * beta)) / (2.0 * mass)
             energy = e_kin0 + sign * mass * omega * omega * beta * beta / 4.0
     except OverflowError:
         # The input gates pass every square of an input, so a derived one
         # overflowed; a drifting packet squares only its width.
-        _require_squarable(f"packet width at t = {t!r}", state.width)
+        _require_squarable(f"packet width at t = {t!r}", width)
         _require_squarable("mass*omega*beta", mass * terms[0] * beta)
-        _require_squarable(f"packet center at t = {t!r}", state.center)
+        _require_squarable(f"packet center at t = {t!r}", center)
         raise
-    return Moments(t, state.center, var_x, mean_p, var_p, kinetic, potential, energy)
+    return tuple.__new__(
+        Moments, (t, center, var_x, mean_p, var_p, kinetic, potential, energy))
 
 
 def _spread_window(system, params, t, k):

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import (
-    _OSCILLATORS, _SQRT_PI, _checked, _checked_times, _gamma, _kinetic, _per_element,
+    _OSCILLATORS, _SQRT_PI, _checked, _checked_times, _gamma, _kinetic, _mapped,
     _prob_at_offset, state_at, total_kinetic,
 )
 from .errors import ParameterError
@@ -97,7 +97,7 @@ def _split_delta(system, params, t, terms):
     """
     p0 = params.p0
     mass = params.mass
-    hypot = math.hypot if type(t) is float else partial(_per_element, math.hypot)
+    hypot = math.hypot if type(t) is float else partial(_mapped, math.hypot)
 
     if terms is None:
         ratio = t / params.t0
@@ -126,7 +126,7 @@ def _split(t, total, delta):
 def half_energies(system, params, t):
     """EnergySplit of the kinetic energy at the packet center at time t."""
     t, terms = _checked(system, params, t)
-    return EnergySplit(*_split(
+    return tuple.__new__(EnergySplit, _split(
         t, _kinetic(system, params, t, terms),
         _split_delta(system, params, t, terms)))
 
@@ -134,8 +134,8 @@ def half_energies(system, params, t):
 def fractions_series(system, params, times):
     """half_energies over a sequence of times, with the same bits.
 
-    The input gate and the math-module functions run per time; the rest
-    of the closed forms runs once over float64 arrays.  Overflow gives
+    The math-module functions run per time; the input gate and the rest
+    of the closed forms run once over float64 arrays.  Overflow gives
     inf without a warning, as float arithmetic does.  Records are built
     by tuple.__new__, as EnergySplit._make builds them.
     """

@@ -123,7 +123,7 @@ def _require_frequency(name, value):
 
 
 def _require_window(name, pair):
-    """pair as a finite (lo, hi) tuple of floats with lo < hi."""
+    """pair as a finite (lo, hi) tuple of floats with lo < hi and a finite hi - lo."""
     try:
         lo, hi = pair
     except (TypeError, ValueError):
@@ -133,6 +133,9 @@ def _require_window(name, pair):
     hi = _require_finite(f"{name} hi", hi)
     if not lo < hi:
         raise ParameterError(f"{name} must satisfy lo < hi, got {_shown(pair)}")
+    if not math.isfinite(hi - lo):
+        raise ParameterError(
+            f"{name} must have a width hi - lo below 1.8e308, got {_shown(pair)}")
     return lo, hi
 
 

@@ -484,7 +484,7 @@ def test_sample_grid_rejects_bool_and_non_integer_n(n):
 
 @pytest.mark.parametrize("window", [
     ("-1", "1"), (False, True), (-1.0, "1"), (-math.inf, 1.0), (-1.0, math.nan),
-    (1.0, 1.0), 5, (-1.0, 0.0, 1.0),
+    (1.0, 1.0), 5, (-1.0, 0.0, 1.0), (-1e308, 1e308),
     pytest.param((-1.0, 0.0, 10**5000), id="3-tuple-with-10**5000"),
 ])
 def test_sample_grid_rejects_bad_window(window):

@@ -497,6 +497,7 @@ _LOADER_REFUSALS = {
     "scaled-time-overflows": ("times", {
         "system": "free", "alpha": 1e5, "mass": 1e10,
         "times": {"unit": "t0", "values": [1e300]}}),
+    "window-width-overflows": ("window", {"system": "free", "window": [-1e308, 1e308]}),
 }
 
 
@@ -511,6 +512,17 @@ def test_loader_refusal_names_the_document_key(case, capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 64 and err.count("\n") == 1
     assert err.startswith(f"gausspack: error: field {field!r}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_window_whose_width_overflows_is_a_usage_error(run_cli, tmp_path):
+    """np.linspace over an infinite span gave a NaN grid, refused at exit 2."""
+    doc = json.dumps({"version": 1, "name": "f", "system": "free", "times": [0.0],
+                      "window": [-1e308, 1e308], "grid_n": 16})
+    code, out, err = run_cli("figure", "--format", "csv", "--scenario", doc,
+                             "--out", str(tmp_path / "f.csv"))
+    assert (code, out) == (64, "")
+    assert err.startswith("gausspack: error: field 'window': ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -469,7 +469,7 @@ _NOT_FINITE_REALS = ("1", True, False, math.inf, math.nan, None)
 
 @pytest.mark.parametrize("window", [
     ("0", "1"), (False, True), (0.0, math.inf), (-math.inf, 1.0), (0.0, "1"),
-    5, (0.0, 1.0, 2.0),
+    5, (0.0, 1.0, 2.0), (-1e308, 1e308),
 ])
 def test_integrate_rejects_bad_window(window):
     """integrate's window and PropagatorSpec's domain pass one (lo, hi) gate."""
