@@ -31,8 +31,8 @@ Numerical care taken here:
 """
 
 import math
-import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -57,6 +57,7 @@ __all__ = [
 
 INVERTED_TIME_GUARD = 300.0
 _HYPERBOLIC_SPLIT = 30.0
+_FLOAT_MAX = float(np.finfo(float).max)
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -202,28 +203,36 @@ def _mapped(fn, *args):
     return np.fromiter(map(fn, *columns), float)
 
 
-def _harmonic_factors(z):
-    """(grow, grow2, c, s) of the harmonic oscillator at z = omega*t."""
-    if not math.isfinite(z):
-        raise TimeRangeError(f"omega*t = {z:g} is beyond the float range")
-    return 1.0, 1.0, math.cos(z), math.sin(z)
+def _factors(oscillator, z):
+    """(grow, grow2, c, s) of an oscillator at z = omega*t (omega_tilde*t).
+
+    Up to |z| = bound, c and s are the plain cos and sin (cosh and sinh)
+    and grow = grow2 = 1.0; beyond it the oscillator's own rule gives
+    them or refuses z.
+    """
+    _, bound, cos, sin, beyond = oscillator
+    if abs(z) <= bound:
+        return 1.0, 1.0, cos(z), sin(z)
+    return beyond(z)
 
 
-def _inverted_factors(z):
-    """(grow, grow2, c, s) of the inverted oscillator at z = omega_tilde*t.
+def _harmonic_beyond(z):
+    """The harmonic oscillator has no z beyond the float range."""
+    raise TimeRangeError(f"omega*t = {z:g} is beyond the float range")
 
-    cosh z = grow*c and sinh z = grow*s.  Up to |z| = 30 the plain library
-    functions are used (grow = grow2 = 1.0); beyond that the dominant
-    exponential grow = e**|z| (grow2 = e**(2|z|)) is factored out so that
-    products of several hyperbolic factors cannot overflow prematurely.
+
+def _inverted_beyond(z):
+    """(grow, grow2, c, s) of the inverted oscillator past |z| = 30.
+
+    cosh z = grow*c and sinh z = grow*s.  The dominant exponential
+    grow = e**|z| (grow2 = e**(2|z|)) is factored out so that products of
+    several hyperbolic factors cannot overflow prematurely.
     """
     if abs(z) > INVERTED_TIME_GUARD:
         raise TimeRangeError(
             f"|omega_tilde*t| = {abs(z):g} exceeds the supported "
             f"range {INVERTED_TIME_GUARD:g}"
         )
-    if abs(z) <= _HYPERBOLIC_SPLIT:
-        return 1.0, 1.0, math.cosh(z), math.sinh(z)
     damp = math.exp(-2.0 * abs(z))
     s = 0.5 * (1.0 - damp)
     return (math.exp(abs(z)), math.exp(2.0 * abs(z)),
@@ -231,18 +240,14 @@ def _inverted_factors(z):
 
 
 # The sign of omega**2 and the per-time factors of each oscillator (a kind
-# not listed is drifting).  The inverted oscillator is the harmonic one
-# continued to omega -> i*omega_tilde: cos and sin become cosh and sinh, and
-# omega**2 changes sign.  The harmonic grow = grow2 = 1.0 and sign = +1 make
-# exact products, so the shared closed forms keep each system's bits.
-#
-# Over an array of times, the plain cos and sin (cosh and sinh) are mapped
-# at once when every |z| is within the bound, where the factor functions
-# would return grow = grow2 = 1.0 and raise nothing: finite z for the
-# harmonic oscillator, |z| <= 30 for the inverted one.
+# not listed is drifting): up to |z| = bound the plain functions, beyond it
+# a rule of its own.  The inverted oscillator is the harmonic one continued
+# to omega -> i*omega_tilde: cos and sin become cosh and sinh, and omega**2
+# changes sign.  The harmonic grow = grow2 = 1.0 and sign = +1 make exact
+# products, so the shared closed forms keep each system's bits.
 _OSCILLATORS = {
-    SystemKind.HARMONIC: (1.0, _harmonic_factors, sys.float_info.max, math.cos, math.sin),
-    SystemKind.INVERTED: (-1.0, _inverted_factors, _HYPERBOLIC_SPLIT, math.cosh, math.sinh),
+    SystemKind.HARMONIC: (1.0, _FLOAT_MAX, math.cos, math.sin, _harmonic_beyond),
+    SystemKind.INVERTED: (-1.0, _HYPERBOLIC_SPLIT, math.cosh, math.sinh, _inverted_beyond),
 }
 
 
@@ -313,18 +318,19 @@ def _checked(system, params, t):
 def _checked_times(system, params, times):
     """_checked over a non-empty list of times: a float64 array, and terms.
 
-    A list of floats is gated by one finiteness test over its array.  A
-    bad time raises what _checked raises for the first bad time.
+    A list of ints and floats takes one finiteness test over its array.
+    Any other list, or one with a bad time, is gated per time, which
+    raises what _checked raises for the first bad time.
     """
-    try:
-        t = np.array(times) if set(map(type, times)) == {float} else None
-        if t is None or not np.isfinite(t).all():
-            t = np.array([_require_finite("t", v) for v in times], dtype=float)
-        return t, _terms(system, params, t)
-    except (ParameterError, TimeRangeError):
-        for v in times:
-            _checked(system, params, v)
-        raise
+    if set(map(type, times)) <= {float, int}:
+        try:
+            t = np.array(times, dtype=float)
+            if np.isfinite(t).all():
+                return t, _terms(system, params, t)
+        except (OverflowError, ParameterError, TimeRangeError):
+            pass
+    t = np.array([_checked(system, params, v)[0] for v in times])
+    return t, _terms(system, params, t)
 
 
 def _terms(system, params, t):
@@ -339,14 +345,14 @@ def _terms(system, params, t):
         return None
     if params.x0 != 0.0:
         raise ParameterError(f"{kind.value} solutions are implemented for x0 = 0 only")
-    sign, factors, bound, cos, sin = oscillator
+    sign, bound, cos, sin, _ = oscillator
     omega = system.shape
     z = omega * t
     if type(z) is float:
-        return omega, sign, *factors(z)
+        return omega, sign, *_factors(oscillator, z)
     if np.abs(z).max() <= bound:
         return omega, sign, 1.0, 1.0, _mapped(cos, z), _mapped(sin, z)
-    return omega, sign, *_per_element(factors, z)
+    return omega, sign, *_per_element(partial(_factors, oscillator), z)
 
 
 def state_at(system, params, t):

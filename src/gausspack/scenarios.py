@@ -44,8 +44,6 @@ import math
 import os
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from ._textio import dumps_stable
 from .analytic import _spread_window
 from .errors import ParameterError, ScenarioError, UnknownPresetError
@@ -287,16 +285,6 @@ def _build_times(doc, kind, system, params, lax=False):
     if not (isinstance(raw, list) and raw):
         _fail("times", "expected a non-empty list of numbers")
     # Each time is refused as given, and again once scaled, which may overflow.
-    # Ints and floats are scaled and checked as one array; anything else, or
-    # a refusal, takes the per-value rules, which give the message.
-    if set(map(type, raw)) <= {float, int}:
-        try:
-            with np.errstate(over="ignore"):
-                values = np.array(raw, dtype=float) * scale
-            if np.isfinite(values).all():
-                return tuple(values.tolist())
-        except OverflowError:  # an int beyond the float range
-            pass
     scaled = f"times in unit {unit!r}"
     return tuple(_require_finite(scaled, _require_finite("times", v) * scale) for v in raw)
 

@@ -526,6 +526,22 @@ def test_a_window_whose_width_overflows_is_a_usage_error(run_cli, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_packet_relative_window_whose_width_overflows_is_refused_by_the_grid(
+        run_cli, tmp_path):
+    """A dx_t window is placed at each time, so sample_grid refuses it (exit 1).
+
+    It gave a NaN grid before, refused at exit 2 by the finiteness gate.
+    """
+    doc = json.dumps({"version": 1, "name": "f", "system": "free", "times": [0.0],
+                      "window": {"unit": "dx_t", "halfwidth": 1.5e308}, "grid_n": 16})
+    code, out, err = run_cli("figure", "--format", "csv", "--scenario", doc,
+                             "--out", str(tmp_path / "f.csv"))
+    assert (code, out) == (1, "")
+    assert err == ("gausspack: error: window must have a width hi - lo below 1.8e308, "
+                   "got (-1.0606601717798214e+308, 1.0606601717798214e+308)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # Figures whose axes overflowed or divided by zero: ticks i*(hi - lo)/4 past
 # the float range wrote "inf" at exit 0, and a flat panel at 6e29, where
 # +-1 is absorbed, raised ZeroDivisionError.  The first grid does not

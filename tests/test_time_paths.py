@@ -14,6 +14,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 import gausspack as g
@@ -58,8 +59,10 @@ def _cases(rng):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fractions_series_gives_the_bits_of_half_energies(seed):
     for system, params, times in _cases(random.Random(seed)):
-        # Exact floats take the one-array gate; an int among them the per-time one.
-        for given in (times, times[:50] + [3] + times[50:]):
+        # Ints and floats take the one-array gate; an np.float64 among them
+        # the per-time one.
+        for extra in ([], [3], [np.float64(3.0)]):
+            given = times[:50] + extra + times[50:]
             series = g.fractions_series(system, params, given)
             assert len(series) == len(given)
             for t, split in zip(given, series):
