@@ -7,27 +7,32 @@ Every solution handled here keeps the form
 
 with Re(quad_coeff) > 0, so a single PacketState container describes all
 four systems and downstream code (densities, energies, grids) never
-needs per-system branches.  The systems form two solution families, each
-with one constructor: drifting (free and uniformly accelerated packets)
-and oscillator (harmonic, and inverted as its continuation to imaginary
-frequency).  total_kinetic is the one closed form of T(t) = <p**2>/2m.
+needs per-system branches.  All four Hamiltonians are quadratic in x and
+p, so the packet stays Gaussian and the classical flow M(t) = [[A, B],
+[C, D]] fixes it (Heller 1975; Littlejohn 1986): with q = hbar/beta**2,
+Z = A + i*q*B and P = C + i*q*D,
+
+    width = beta*|Z|,   Re a = 1/(2 width**2),   Im a = -Re(P conj Z)/(2 hbar |Z|**2),
+    l = p_t/hbar,       const = (F*int x dt - p_t*x_t - p0*x0)/(2 hbar) - arg(Z)/2,
+    T = (p_t**2 + beta**2 |P|**2/2)/2m.
+
+M(t) is the only per-system input: _flow gives the classical path and
+the momentum row beta*P, _envelope the position row beta*Z.  The formulas
+take beta*Z and beta*P, so q, which overflows for a subnormal beta**2,
+is never formed, and Re(P conj Z)/|Z| is formed from Z/|Z| (_shear), so
+it stays finite where |Z| does not.  docs/energy_split.md derives them.
 
 Numerical care taken here:
 
-* The drifting solutions carry the factor 1/sqrt(1 + i*t/t0); the
-  principal branch is used (the argument never leaves the right
-  half-plane, so the phase is continuous in t).
-* The oscillator solution is often written with separate exponents
-  carrying 1/sin(omega*t) poles.  Those exponents are combined
-  analytically here into the PacketState form, whose coefficients stay
-  finite at all t because the complex envelope A(t) = beta*cos(omega*t)
-  + i*(hbar/(mass*omega*beta))*sin(omega*t) never vanishes.  The
-  prefactor phase is -arg(A)/2 with arg(A) continued in t, so psi at one
-  period is -psi at t = 0 (the oscillator's Maslov phase).
+* Re a comes from the width, never from P/Z: Im(P conj Z) = q*det M is a
+  difference of numbers of order e**(2|omega_tilde*t|) for the inverted
+  oscillator.
+* arg(Z) is continued in t: the harmonic Z winds once around 0 per
+  period, so psi at one period is -psi at t = 0 (the Maslov phase).
 * The inverted oscillator grows like exp(omega_tilde*t); times with
   |omega_tilde*t| > 300 are rejected, and beyond |omega_tilde*t| > 30
-  the hyperbolic functions are evaluated with their common exponential
-  factor extracted so no intermediate overflows.
+  the common factor e**|omega_tilde*t| is taken out of M(t) as grow, so
+  no product of its entries overflows.
 """
 
 import math
@@ -156,32 +161,6 @@ class Moments(NamedTuple):
     energy: float
 
 
-def _drifting_geometry(params, t, force):
-    """(z, center, width) of a free or uniformly accelerated packet, z = 1 + i*t/t0."""
-    p0, mass = params.p0, params.mass
-    z = complex(1.0, t / params.t0)
-    center = params.x0 + p0 * t / mass + force * t * t / (2.0 * mass)
-    return z, center, params.beta * abs(z)
-
-
-def _drifting_state(params, t, force):
-    """Free and uniformly accelerated packets share one solution family."""
-    hbar, mass = params.hbar, params.mass
-    beta, t0, p0, x0 = params.beta, params.t0, params.p0, params.x0
-
-    z, center, width = _drifting_geometry(params, t, force)
-    p_t = p0 + force * t
-
-    quad = 1.0 / (2.0 * beta * beta * z)
-    lin = p_t / hbar
-    const = (
-        force * t * (x0 - force * t * t / (6.0 * mass))
-        - p_t * (x0 + p0 * t / (2.0 * mass))
-    ) / hbar - 0.5 * math.atan2(t / t0, 1.0)
-    norm = 1.0 / math.sqrt(_SQRT_PI * width)
-    return tuple.__new__(PacketState, (t, center, width, quad, lin, const, norm))
-
-
 def _per_element(fn, *args):
     """fn mapped over the elements of broadcast float64 arrays.
 
@@ -243,8 +222,7 @@ def _inverted_beyond(z):
 # not listed is drifting): up to |z| = bound the plain functions, beyond it
 # a rule of its own.  The inverted oscillator is the harmonic one continued
 # to omega -> i*omega_tilde: cos and sin become cosh and sinh, and omega**2
-# changes sign.  The harmonic grow = grow2 = 1.0 and sign = +1 make exact
-# products, so the shared closed forms keep each system's bits.
+# changes sign.  grow = grow2 = 1.0 while |z| <= bound make exact products.
 _OSCILLATORS = {
     SystemKind.HARMONIC: (1.0, _FLOAT_MAX, math.cos, math.sin, _harmonic_beyond),
     SystemKind.INVERTED: (-1.0, _HYPERBOLIC_SPLIT, math.cosh, math.sinh, _inverted_beyond),
@@ -264,45 +242,70 @@ def _gamma(params, omega):
     return gamma
 
 
-def _oscillator_geometry(params, omega, grow, c, s):
-    """(center, width, gamma, A, 2*hbar*|A|**2) of a harmonic or inverted packet.
+def _flow(system, params, t, terms):
+    """The classical path at t and the momentum row of the flow M(t).
 
-    A = beta*c + i*gamma*s is the complex envelope; a 2*hbar*|A|**2 that
-    underflows to 0 (a tiny hbar times a huge alpha) is refused here.
+    M(t) = [[A, B], [C, D]] carries (x0, p0) to (x_t, p_t), plus the
+    drift of a uniform force.  Returns (grow, grow2, x_t, p_t, work,
+    beta*C, (hbar/beta)*D), with x_t, p_t and the row divided by grow and
+    work = F * (integral of x_t over [0, t]).  hbar/beta is taken as
+    1/alpha.  An oscillator whose beta*C = mass*omega*beta*s has no float
+    square at s = 1 is refused here: T squares it.
     """
-    hbar = params.hbar
-    gamma = _gamma(params, omega)
-    envelope = complex(params.beta * c, gamma * s)
-    abs_env = abs(envelope)
-    chirp_scale = 2.0 * hbar * abs_env * abs_env
-    if chirp_scale == 0.0:
-        raise ParameterError(
-            f"2*hbar*|A|**2 underflows to 0 (hbar = {hbar!r}, |A| = {abs_env!r})")
-    center = params.p0 * grow * s / (params.mass * omega)
-    return center, grow * abs_env, gamma, envelope, chirp_scale
+    p0, mass = params.p0, params.mass
+    if terms is None:  # M = [[1, t/m], [0, 1]]
+        force, x0 = system.shape, params.x0
+        return (1.0, 1.0, x0 + p0 * t / mass + force * t * t / (2.0 * mass), p0 + force * t,
+                force * t * (x0 + p0 * t / (2.0 * mass) + force * t * t / (6.0 * mass)),
+                0.0, 1.0 / params.alpha)
+    # M = [[c, s/(m*omega)], [-sign*m*omega*s, c]]; the oscillators start at x0 = 0.
+    omega, sign, grow, grow2, c, s = terms
+    stiffness = mass * omega * params.beta
+    if not stiffness * stiffness < math.inf:
+        _require_squarable("mass*omega*beta", stiffness)
+    return grow, grow2, p0 * s / (mass * omega), p0 * c, 0.0, -sign * stiffness * s, c / params.alpha
 
 
-def _oscillator_state(params, t, omega, sign, grow, grow2, c, s):
-    """Harmonic and inverted oscillator packets share one solution family."""
-    hbar, mass = params.hbar, params.mass
-    beta, p0 = params.beta, params.p0
+def _envelope(system, params, t, terms):
+    """The position row of M(t) as the complex envelope beta*Z, and its turn.
 
-    center, width, gamma, envelope, chirp_scale = _oscillator_geometry(
-        params, omega, grow, c, s)
-    quad = complex(
-        1.0 / (2.0 * width * width),
-        sign * mass * omega * (beta * beta - sign * gamma * gamma) * s * c
-        / chirp_scale,
-    )
-    lin = p0 * grow * c / hbar
-    # math.atan2 rounds a phase that underflows to 0; cmath.phase raises there.
-    arg = math.atan2(envelope.imag, envelope.real)
-    const = -p0 * center * grow * c / (2.0 * hbar) - 0.5 * arg
-    # arg(A) continued in t: the harmonic A winds once around 0 per period.
-    if sign > 0 and round((omega * t - arg) / (2.0 * math.pi)) % 2:
-        const -= math.pi
-    norm = 1.0 / math.sqrt(_SQRT_PI * width)
-    return tuple.__new__(PacketState, (t, center, width, quad, lin, const, norm))
+    Returns (scale, z_re, z_im, turn) with beta*Z = scale*(z_re + i*z_im),
+    divided by grow: |beta*Z| is the width and arg(Z) the prefactor's
+    phase.  The drifting systems keep Z = 1 + i*t/t0 with scale beta, and
+    the oscillators beta*Z = beta*c + i*gamma*s with scale 1.0, so no
+    entry leaves the float range before the width does.  turn is omega*t
+    for the harmonic oscillator, whose Z winds once around 0 per period,
+    and 0.0 for the others, whose Z stays in the right half-plane.  Apart
+    from _flow, because T reads only the momentum row, while this row takes
+    gamma = hbar/(mass*omega*beta) through its gate.
+    """
+    if terms is None:  # q*t/m = t/t0
+        return params.beta, 1.0, t / params.t0, 0.0
+    omega, sign, _, _, c, s = terms  # (hbar/beta)*s/(m*omega) = gamma*s
+    return 1.0, params.beta * c, _gamma(params, omega) * s, omega * t if sign > 0 else 0.0
+
+
+def _shear(beta_c, d_over_alpha, z_re, z_im, abs_z):
+    """Re(beta*P conj(beta*Z))/|beta*Z| from the rows of _flow and _envelope.
+
+    Z/|Z| is taken first, so no product overflows before the ratio does.
+    """
+    return beta_c * (z_re / abs_z) + d_over_alpha * (z_im / abs_z)
+
+
+def _kinetic(mass, grow2, p_t, beta_c, d_over_alpha):
+    """T = grow2*(p_t**2 + |beta*P|**2/2)/2m from _flow's fields."""
+    return grow2 * ((p_t * p_t + (beta_c * beta_c + d_over_alpha * d_over_alpha) / 2.0)
+                    / (2.0 * mass))
+
+
+def _mean_potential(system, params, center, var_x):
+    """<V> of a packet with mean center and variance var_x, from the potential."""
+    oscillator = _OSCILLATORS.get(system.kind)
+    if oscillator is None:  # V = -F*x; the free particle's F is 0.0
+        return -system.shape * center
+    # V = sign*m*omega**2*x**2/2, and <x**2> = center**2 + var_x
+    return oscillator[0] * 0.5 * params.mass * system.shape**2 * (center**2 + var_x)
 
 
 def _checked(system, params, t):
@@ -358,9 +361,26 @@ def _terms(system, params, t):
 def state_at(system, params, t):
     """Closed-form PacketState of `system` with initial `params` at time t."""
     t, terms = _checked(system, params, t)
-    if terms is None:
-        return _drifting_state(params, t, system.shape)
-    return _oscillator_state(params, t, *terms)
+    grow, _, x_t, p_t, work, beta_c, d_over_alpha = _flow(system, params, t, terms)
+    scale, z_re, z_im, turn = _envelope(system, params, t, terms)
+    hbar = params.hbar
+    abs_z = math.hypot(z_re, z_im)
+    envelope = scale * abs_z
+    chirp_scale = 2.0 * hbar * envelope
+    if chirp_scale == 0.0:  # a tiny hbar times a tiny |beta*Z|
+        raise ParameterError(
+            f"2*hbar*|beta*Z| underflows to 0 (hbar = {hbar!r}, |beta*Z| = {envelope!r})")
+    center, p_t, width = grow * x_t, grow * p_t, grow * envelope
+    # math.atan2 rounds a phase that underflows to 0; cmath.phase raises there.
+    arg = math.atan2(z_im, z_re)
+    const = (work - p_t * center - params.p0 * params.x0) / (2.0 * hbar) - 0.5 * arg
+    # arg(Z) continued in t, by the turns of the flow
+    if turn and round((turn - arg) / (2.0 * math.pi)) % 2:
+        const -= math.pi
+    quad = complex(1.0 / (2.0 * width * width),
+                   -_shear(beta_c, d_over_alpha, z_re, z_im, abs_z) / chirp_scale)
+    norm = 1.0 / math.sqrt(_SQRT_PI * width)
+    return tuple.__new__(PacketState, (t, center, width, quad, p_t / hbar, const, norm))
 
 
 def eval_psi(system, params, x, t):
@@ -370,58 +390,37 @@ def eval_psi(system, params, x, t):
 
 def total_kinetic(system, params, t):
     """Closed-form kinetic expectation value T(t) = <p**2>_t / 2m."""
-    return _kinetic(system, params, *_checked(system, params, t))
-
-
-def _kinetic(system, params, t, terms):
-    """total_kinetic after the input gate (_checked or _checked_times)."""
-    mass = params.mass
-    if terms is None:
-        p_t = params.p0 + system.shape * t
-        return (p_t * p_t + 1.0 / (2.0 * params.alpha**2)) / (2.0 * mass)
-    omega, _, _, grow2, c, s = terms
-    beta = params.beta
-    e_pot0 = mass * omega**2 * beta**2 / 4.0
-    e_kin0 = (params.p0**2 + params.hbar**2 / (2.0 * beta**2)) / (2.0 * mass)
-    return grow2 * (e_kin0 * c * c + e_pot0 * s * s)
+    t, terms = _checked(system, params, t)
+    _, grow2, _, p_t, _, beta_c, d_over_alpha = _flow(system, params, t, terms)
+    return _kinetic(params.mass, grow2, p_t, beta_c, d_over_alpha)
 
 
 def moments_at(system, params, t):
-    """Closed-form expectation values at time t."""
+    """Closed-form expectation values at time t.
+
+    energy is T(0) + <V>(0): at t = 0, M = 1, so p_t = p0, beta*P = i/alpha,
+    the centre is x0 and the variance beta**2/2.
+    """
     t, terms = _checked(system, params, t)
-    kinetic = _kinetic(system, params, t, terms)
-    hbar, mass = params.hbar, params.mass
-    beta, p0 = params.beta, params.p0
-    force = system.shape  # read by the drifting branches only
-    if terms is None:
-        _, center, width = _drifting_geometry(params, t, force)
-    else:
-        omega, sign, grow, grow2, c, s = terms
-        center, width, *_ = _oscillator_geometry(params, omega, grow, c, s)
+    grow, grow2, x_t, p_t, _, beta_c, d_over_alpha = _flow(system, params, t, terms)
+    scale, z_re, z_im, _ = _envelope(system, params, t, terms)
+    center, width = grow * x_t, grow * (scale * math.hypot(z_re, z_im))
+    mass, p0 = params.mass, params.p0
     try:
         var_x = width**2 / 2.0
-        if terms is None:
-            mean_p = p0 + force * t
-            var_p = 1.0 / (2.0 * params.alpha**2)
-            potential = -force * center
-            energy = (p0**2 + var_p) / (2.0 * mass) - force * params.x0
-        else:
-            mean_p = p0 * grow * c
-            var_p = grow2 * ((hbar * hbar / (2.0 * beta * beta)) * c * c
-                             + (mass * omega * beta) ** 2 * s * s / 2.0)
-            # <V> = sign * mass*omega**2*<x**2>/2 with <x**2> = center**2 + var_x.
-            potential = sign * 0.5 * mass * omega**2 * (center**2 + var_x)
-            e_kin0 = (p0 * p0 + hbar * hbar / (2.0 * beta * beta)) / (2.0 * mass)
-            energy = e_kin0 + sign * mass * omega * omega * beta * beta / 4.0
+        potential = _mean_potential(system, params, center, var_x)
     except OverflowError:
         # The input gates pass every square of an input, so a derived one
-        # overflowed; a drifting packet squares only its width.
+        # overflowed.
         _require_squarable(f"packet width at t = {t!r}", width)
-        _require_squarable("mass*omega*beta", mass * terms[0] * beta)
         _require_squarable(f"packet center at t = {t!r}", center)
         raise
-    return tuple.__new__(
-        Moments, (t, center, var_x, mean_p, var_p, kinetic, potential, energy))
+    energy = (_kinetic(mass, 1.0, p0, 0.0, 1.0 / params.alpha)
+              + _mean_potential(system, params, params.x0, params.beta**2 / 2.0))
+    var_p = grow2 * ((beta_c * beta_c + d_over_alpha * d_over_alpha) / 2.0)
+    return tuple.__new__(Moments, (
+        t, center, var_x, grow * p_t, var_p,
+        _kinetic(mass, grow2, p_t, beta_c, d_over_alpha), potential, energy))
 
 
 def _spread_window(system, params, t, k):

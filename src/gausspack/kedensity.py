@@ -16,26 +16,22 @@ energies carried by the trailing and leading halves:
 
     T_plus/minus(t) = T(t)/2 -/+ (hbar**2 / (m*sqrt(pi))) * l * Im(a) * w
 
-The per-family expressions below (drifting: free and uniformly
-accelerated packets; oscillator: harmonic and inverted) are this
-identity specialized to each solution family.  T(t) itself is
-analytic.total_kinetic.  docs/energy_split.md records
-the full derivation, including the harmonic-oscillator case whose
-prefactor
-p0*omega*sin*cos**2*(beta0**4/beta**2 - beta**2) / (2*sqrt(pi)*|A|)
-was re-derived independently before being trusted here.
+From the classical flow (analytic), with the packet's envelope beta*Z
+and momentum row beta*P, l*Im(a)*w is -p_t*Re(beta*P conj(beta*Z))/(2 hbar**2
+|beta*Z|), which gives half of T_plus - T_minus for all four systems in one
+expression.  T(t) itself is analytic.total_kinetic.  docs/energy_split.md
+records the derivation and the per-system forms it reduces to.
 """
 
 import math
-from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import (
-    _OSCILLATORS, _SQRT_PI, _checked, _checked_times, _gamma, _kinetic, _mapped,
-    _prob_at_offset, state_at, total_kinetic,
+    _OSCILLATORS, _SQRT_PI, _checked, _checked_times, _envelope, _flow, _gamma, _kinetic,
+    _mapped, _prob_at_offset, _shear, state_at, total_kinetic,
 )
 from .errors import ParameterError
 from .quantities import SystemKind, _require_finite, _require_squarable
@@ -90,33 +86,30 @@ def kinetic_density(system, params, x, t):
     return float(poly[0]) if np.ndim(x) == 0 else poly
 
 
-def _split_delta(system, params, t, terms):
-    """Half of T_plus - T_minus, in closed form per solution family.
+def _positive(value, message):
+    """value, which must be > 0 (at every element of a float64 array)."""
+    if (value > 0.0) if type(value) is float else (value > 0.0).all():
+        return value
+    raise ParameterError(message)
 
-    t and terms come from _checked or _checked_times.
+
+def _split(system, params, t, terms):
+    """The EnergySplit fields at t, from the classical flow.
+
+    T = grow2*(p_t**2 + |beta*P|**2/2)/2m, and half of T_plus - T_minus is
+    grow2*p_t*Re(beta*P*conj(beta*Z))/(2*sqrt(pi)*m*|beta*Z|).  t and terms
+    come from _checked or _checked_times: a float, or a float64 array
+    whose |z| is math.hypot per element, so both give the same bits.
     """
-    p0 = params.p0
-    mass = params.mass
-    hypot = math.hypot if type(t) is float else partial(_mapped, math.hypot)
-
-    if terms is None:
-        ratio = t / params.t0
-        spread = ratio / hypot(1.0, ratio)
-        p_t = p0 + system.shape * t
-        return p_t * spread / (2.0 * mass * params.alpha * _SQRT_PI)
-
-    omega, sign, _, grow2, c, s = terms
-    beta = params.beta
-    gamma = _gamma(params, omega)
-    env = hypot(beta * c, gamma * s)
-    return grow2 * (
-        p0 * omega * s * c * c * (gamma * gamma - sign * beta * beta)
-        / (2.0 * _SQRT_PI * env)
-    )
-
-
-def _split(t, total, delta):
-    """The EnergySplit fields from T(t) and half of T_plus - T_minus."""
+    _, grow2, _, p_t, _, beta_c, d_over_alpha = _flow(system, params, t, terms)
+    _, z_re, z_im, _ = _envelope(system, params, t, terms)
+    abs_z = math.hypot(z_re, z_im) if type(t) is float else _mapped(math.hypot, z_re, z_im)
+    total = _positive(_kinetic(params.mass, grow2, p_t, beta_c, d_over_alpha),
+                      "total kinetic energy is not positive")
+    # 2*sqrt(pi)*mass > 0, and |z| >= 1 for Z = 1 + i*t/t0 and >= min(beta, gamma)/2 > 0
+    # for the oscillators' beta*Z: no divisor here underflows.
+    delta = grow2 * p_t * (_shear(beta_c, d_over_alpha, z_re, z_im, abs_z)
+                           / (2.0 * _SQRT_PI * params.mass))
     plus = 0.5 * total + delta
     minus = 0.5 * total - delta
     r_plus = plus / total
@@ -125,10 +118,7 @@ def _split(t, total, delta):
 
 def half_energies(system, params, t):
     """EnergySplit of the kinetic energy at the packet center at time t."""
-    t, terms = _checked(system, params, t)
-    return tuple.__new__(EnergySplit, _split(
-        t, _kinetic(system, params, t, terms),
-        _split_delta(system, params, t, terms)))
+    return tuple.__new__(EnergySplit, _split(system, params, *_checked(system, params, t)))
 
 
 def fractions_series(system, params, times):
@@ -143,9 +133,7 @@ def fractions_series(system, params, times):
     if not times:
         return ()
     with np.errstate(all="ignore"):
-        t, terms = _checked_times(system, params, times)
-        columns = _split(t, _kinetic(system, params, t, terms),
-                         _split_delta(system, params, t, terms))
+        columns = _split(system, params, *_checked_times(system, params, times))
     return tuple(map(tuple.__new__, repeat(EnergySplit), zip(*(c.tolist() for c in columns))))
 
 
@@ -198,10 +186,7 @@ def extremal_p0(system, params):
 
 def _positive_total(system, params, t):
     """T(t), the normalization of S = T(x,t)/T(t), which must be positive."""
-    total = total_kinetic(system, params, t)
-    if not (total > 0.0):
-        raise ParameterError("total kinetic energy is not positive")
-    return total
+    return _positive(total_kinetic(system, params, t), "total kinetic energy is not positive")
 
 
 def scaled_density(system, params, x, t):

@@ -376,10 +376,10 @@ def test_squares_just_below_the_float_range_are_accepted():
 
 @pytest.mark.parametrize("system", [g.harmonic_oscillator(8.0), g.inverted_oscillator(8.0)])
 def test_chirp_divisor_that_underflows_is_refused(system):
-    """2*hbar*|A|**2 divides the chirp Im(a); with hbar = 6e-248 and
-    |A| = beta = 6.7e-160 it underflows to 0, which raised ZeroDivisionError."""
+    """2*hbar*|beta*Z| divides the chirp Im(a); with hbar = 6e-248 and
+    |beta*Z| = beta = 6.7e-160 it underflows to 0, which raised ZeroDivisionError."""
     params = g.make_params(hbar=6.088798310114892e-248, alpha=1.0929703959470301e+88)
-    with pytest.raises(g.ParameterError, match=re.escape("2*hbar*|A|**2 underflows to 0")):
+    with pytest.raises(g.ParameterError, match=re.escape("2*hbar*|beta*Z| underflows to 0")):
         g.state_at(system, params, 0.0)
 
 

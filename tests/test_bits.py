@@ -11,8 +11,10 @@ import hashlib
 import math
 
 import numpy as np
+import pytest
 
 import gausspack as g
+from conftest import per_level, pinned
 
 _GRID_SIZES = (64, 1024, 2**15)
 
@@ -91,12 +93,23 @@ def _library_digest(seed=13, n_params=10, n_times=50):
     return h.hexdigest()
 
 
-# Taken before the per-call paths of analytic and kedensity were reworked,
-# then re-taken once the oscillator's const_phase followed arg(A) continued
-# in t: 246 of the 520 harmonic states moved by exactly -pi, at the times
-# where (4k+1)*pi < |omega*t| < (4k+3)*pi, and no other value moved.
-LIBRARY_DIGEST = "f315909b1e577021ee1b5c1d6f7e5ef957b5ab52c662c088cc36e20b6c76013f"
+# One digest per numpy dispatch level (conftest.per_level).  Taken before
+# the per-call paths of analytic and kedensity were reworked; re-taken once
+# the oscillator's const_phase followed arg(A) continued in t, and again when
+# the closed forms came to be read from the classical flow M(t).
+LIBRARY_DIGEST = per_level(
+    "bb91b4815f440ba5ab7644e8db490ee9211ced527da4bd22eb11f8bf3746c6d6",
+    x86_v3="c22f313ca98ea6b474377d8561add6b0e72a2278155ab33b90f2f456c952dd0f",
+    baseline="a2ba6e74f0a87cce6c84df0eb055648233ae7b7725f145183e1655c8d950ce70")
 
 
 def test_closed_forms_keep_their_bits():
-    assert _library_digest() == LIBRARY_DIGEST
+    assert _library_digest() == pinned(LIBRARY_DIGEST)
+
+
+def test_a_dispatch_level_with_no_pins_fails_naming_it(monkeypatch):
+    import conftest
+
+    monkeypatch.setattr(conftest, "dispatch_level", lambda: "X86_V9")
+    with pytest.raises(pytest.fail.Exception, match="numpy dispatch level X86_V9"):
+        pinned(LIBRARY_DIGEST)

@@ -295,3 +295,17 @@ def test_non_positive_total_is_refused_by_scaled_and_figure_tables(monkeypatch):
         g.scaled_density(system, params, 0.0, 1.0)
     with pytest.raises(g.ParameterError, match="not positive"):
         figures.figure_tables(g.load_scenario(_DENSITY_SCENARIO))
+
+
+_UNDERFLOWING_TOTAL = {"hbar": 1e-130, "mass": 1e308, "alpha": 1e10}
+
+
+def test_a_total_that_underflows_to_zero_is_refused_on_both_paths():
+    """T(0) = 1/(4*alpha**2*m) is 0.0 here: half_energies divided by it
+    (ZeroDivisionError) and fractions_series gave r_plus = nan."""
+    system, params = g.free_particle(), g.make_params(**_UNDERFLOWING_TOTAL)
+    assert g.total_kinetic(system, params, 0.0) == 0.0
+    with pytest.raises(g.ParameterError, match="^total kinetic energy is not positive$"):
+        g.half_energies(system, params, 0.0)
+    with pytest.raises(g.ParameterError, match="^total kinetic energy is not positive$"):
+        g.fractions_series(system, params, [0.0, 1.0])
