@@ -37,7 +37,6 @@ Numerical care taken here:
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -161,38 +160,16 @@ class Moments(NamedTuple):
     energy: float
 
 
-def _per_element(fn, *args):
-    """fn mapped over the elements of broadcast float64 arrays.
+def _mapped(fn, *args):
+    """fn over float64 arrays of one length, a float argument repeated: a float64 array.
 
     Every transcendental of the closed forms comes from the math module,
-    elementwise also over an array of times: numpy's hypot, exp and cosh
-    round differently, while +, -, * and / on float64 arrays round as
-    on floats.  So the array path gives the scalar path's bits.  A
-    function returning k values gives k rows.  For a float time the
-    callers call fn(*args) directly: this dispatch would cost more than
-    the math.  _mapped is the cheaper form for one value per element.
+    elementwise also over an array of times: numpy's hypot, cos and cosh
+    round differently, while +, -, * and / on float64 arrays round as on
+    floats.  So the array path gives the scalar path's bits.
     """
-    columns = [arg.tolist() for arg in np.broadcast_arrays(*args)]
-    return np.array(list(map(fn, *columns)), dtype=float).T
-
-
-def _mapped(fn, *args):
-    """fn over float64 arrays of one length, a float argument repeated: a float64 array."""
     columns = [repeat(arg) if type(arg) is float else arg.tolist() for arg in args]
     return np.fromiter(map(fn, *columns), float)
-
-
-def _factors(oscillator, z):
-    """(grow, grow2, c, s) of an oscillator at z = omega*t (omega_tilde*t).
-
-    Up to |z| = bound, c and s are the plain cos and sin (cosh and sinh)
-    and grow = grow2 = 1.0; beyond it the oscillator's own rule gives
-    them or refuses z.
-    """
-    _, bound, cos, sin, beyond = oscillator
-    if abs(z) <= bound:
-        return 1.0, 1.0, cos(z), sin(z)
-    return beyond(z)
 
 
 def _harmonic_beyond(z):
@@ -219,9 +196,10 @@ def _inverted_beyond(z):
 
 
 # The sign of omega**2 and the per-time factors of each oscillator (a kind
-# not listed is drifting): up to |z| = bound the plain functions, beyond it
-# a rule of its own.  The inverted oscillator is the harmonic one continued
-# to omega -> i*omega_tilde: cos and sin become cosh and sinh, and omega**2
+# not listed is drifting): up to |z| = bound the plain functions, at one
+# time or mapped over an array; beyond it a rule of its own, at one time
+# only.  The inverted oscillator is the harmonic one continued to
+# omega -> i*omega_tilde: cos and sin become cosh and sinh, and omega**2
 # changes sign.  grow = grow2 = 1.0 while |z| <= bound make exact products.
 _OSCILLATORS = {
     SystemKind.HARMONIC: (1.0, _FLOAT_MAX, math.cos, math.sin, _harmonic_beyond),
@@ -319,28 +297,30 @@ def _checked(system, params, t):
 
 
 def _checked_times(system, params, times):
-    """_checked over a non-empty list of times: a float64 array, and terms.
+    """(a float64 array, terms) for a non-empty list of times, or None.
 
-    A list of ints and floats takes one finiteness test over its array.
-    Any other list, or one with a bad time, is gated per time, which
-    raises what _checked raises for the first bad time.
+    The one-array gate: ints and floats, all finite and, for an
+    oscillator, with every |omega*t| within its bound.  Any other list
+    gives None, and the caller evaluates it per time.
     """
-    if set(map(type, times)) <= {float, int}:
-        try:
-            t = np.array(times, dtype=float)
-            if np.isfinite(t).all():
-                return t, _terms(system, params, t)
-        except (OverflowError, ParameterError, TimeRangeError):
-            pass
-    t = np.array([_checked(system, params, v)[0] for v in times])
+    if not set(map(type, times)) <= {float, int}:
+        return None
+    try:
+        t = np.array(times, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    oscillator = _OSCILLATORS.get(system.kind)
+    if not (np.isfinite(t).all() if oscillator is None
+            else np.abs(system.shape * t).max() <= oscillator[1]):
+        return None
     return t, _terms(system, params, t)
 
 
 def _terms(system, params, t):
     """(omega, sign, grow, grow2, c, s) of an oscillator at t, or None.
 
-    t is a float or a float64 array; c and s follow it, and so do grow
-    and grow2 unless they are 1.0 at every time.
+    t is a float, or a float64 array that _checked_times passed, over
+    which c and s are mapped and grow = grow2 = 1.0.
     """
     kind = system.kind
     oscillator = _OSCILLATORS.get(kind)
@@ -348,14 +328,14 @@ def _terms(system, params, t):
         return None
     if params.x0 != 0.0:
         raise ParameterError(f"{kind.value} solutions are implemented for x0 = 0 only")
-    sign, bound, cos, sin, _ = oscillator
+    sign, bound, cos, sin, beyond = oscillator
     omega = system.shape
     z = omega * t
-    if type(z) is float:
-        return omega, sign, *_factors(oscillator, z)
-    if np.abs(z).max() <= bound:
+    if type(z) is not float:
         return omega, sign, 1.0, 1.0, _mapped(cos, z), _mapped(sin, z)
-    return omega, sign, *_per_element(partial(_factors, oscillator), z)
+    if abs(z) <= bound:
+        return omega, sign, 1.0, 1.0, cos(z), sin(z)
+    return omega, sign, *beyond(z)
 
 
 def state_at(system, params, t):

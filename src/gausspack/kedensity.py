@@ -86,11 +86,16 @@ def kinetic_density(system, params, x, t):
     return float(poly[0]) if np.ndim(x) == 0 else poly
 
 
-def _positive(value, message):
-    """value, which must be > 0 (at every element of a float64 array)."""
-    if (value > 0.0) if type(value) is float else (value > 0.0).all():
-        return value
-    raise ParameterError(message)
+def _positive(total):
+    """T(t), which must be positive and finite (at every element of a float64 array,
+    where the first time that fails decides the message, as half_energies there would)."""
+    if type(total) is not float:
+        passed = (total > 0.0) & (total < math.inf)
+        return total if passed.all() else _positive(float(total[passed.argmin()]))
+    if 0.0 < total < math.inf:
+        return total
+    raise ParameterError("total kinetic energy overflows the float range" if total == math.inf
+                         else "total kinetic energy is not positive")
 
 
 def _split(system, params, t, terms):
@@ -104,8 +109,7 @@ def _split(system, params, t, terms):
     _, grow2, _, p_t, _, beta_c, d_over_alpha = _flow(system, params, t, terms)
     _, z_re, z_im, _ = _envelope(system, params, t, terms)
     abs_z = math.hypot(z_re, z_im) if type(t) is float else _mapped(math.hypot, z_re, z_im)
-    total = _positive(_kinetic(params.mass, grow2, p_t, beta_c, d_over_alpha),
-                      "total kinetic energy is not positive")
+    total = _positive(_kinetic(params.mass, grow2, p_t, beta_c, d_over_alpha))
     # 2*sqrt(pi)*mass > 0, and |z| >= 1 for Z = 1 + i*t/t0 and >= min(beta, gamma)/2 > 0
     # for the oscillators' beta*Z: no divisor here underflows.
     delta = grow2 * p_t * (_shear(beta_c, d_over_alpha, z_re, z_im, abs_z)
@@ -124,16 +128,21 @@ def half_energies(system, params, t):
 def fractions_series(system, params, times):
     """half_energies over a sequence of times, with the same bits.
 
-    The math-module functions run per time; the input gate and the rest
-    of the closed forms run once over float64 arrays.  Overflow gives
-    inf without a warning, as float arithmetic does.  Records are built
+    A list that _checked_times passes is gated once and evaluated over
+    float64 arrays, the math-module functions mapped per time; overflow
+    there gives inf without a warning, as float arithmetic does.  Any
+    other list (an np.float64 in it, an inverted time past
+    |omega_tilde*t| = 30) is half_energies per time.  Records are built
     by tuple.__new__, as EnergySplit._make builds them.
     """
     times = list(times)
     if not times:
         return ()
     with np.errstate(all="ignore"):
-        columns = _split(system, params, *_checked_times(system, params, times))
+        checked = _checked_times(system, params, times)
+        if checked is None:
+            return tuple(half_energies(system, params, t) for t in times)
+        columns = _split(system, params, *checked)
     return tuple(map(tuple.__new__, repeat(EnergySplit), zip(*(c.tolist() for c in columns))))
 
 
@@ -185,8 +194,8 @@ def extremal_p0(system, params):
 
 
 def _positive_total(system, params, t):
-    """T(t), the normalization of S = T(x,t)/T(t), which must be positive."""
-    return _positive(total_kinetic(system, params, t), "total kinetic energy is not positive")
+    """T(t), the normalization of S = T(x,t)/T(t), which must be positive and finite."""
+    return _positive(total_kinetic(system, params, t))
 
 
 def scaled_density(system, params, x, t):

@@ -570,6 +570,16 @@ def test_a_total_kinetic_energy_that_underflows_is_a_constraint_failure(capsys, 
         1, "gausspack: error: total kinetic energy is not positive\n")
     assert list(tmp_path.iterdir()) == []
 
+
+def test_a_total_kinetic_energy_that_overflows_is_a_constraint_failure(capsys, tmp_path):
+    """T is inf here: the table's r_plus was nan, refused at exit 2."""
+    doc = json.dumps({"version": 1, "name": "f", "system": "free", "mass": 1e-200,
+                      "alpha": 1e-130, "hbar": 1e140, "times": [1.0]})
+    code = cli.main(["fractions", "--scenario", doc, "--out", str(tmp_path / "f.csv")])
+    assert (code, capsys.readouterr().err) == (
+        1, "gausspack: error: total kinetic energy overflows the float range\n")
+    assert list(tmp_path.iterdir()) == []
+
 def test_a_window_whose_width_overflows_is_a_usage_error(run_cli, tmp_path):
     """np.linspace over an infinite span gave a NaN grid, refused at exit 2."""
     doc = json.dumps({"version": 1, "name": "f", "system": "free", "times": [0.0],

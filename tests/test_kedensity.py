@@ -309,3 +309,33 @@ def test_a_total_that_underflows_to_zero_is_refused_on_both_paths():
         g.half_energies(system, params, 0.0)
     with pytest.raises(g.ParameterError, match="^total kinetic energy is not positive$"):
         g.fractions_series(system, params, [0.0, 1.0])
+
+
+_OVERFLOWING_TOTAL = {"mass": 1e-200, "alpha": 1e-130, "hbar": 1e140}
+
+
+def test_a_total_that_overflows_is_refused_on_every_path():
+    """T = 1/(4*alpha**2*m) is inf here: half_energies gave total = inf and
+    plus = minus = r_plus = nan with no error."""
+    system, params = g.free_particle(), g.make_params(**_OVERFLOWING_TOTAL)
+    assert g.total_kinetic(system, params, 1.0) == math.inf
+    message = "^total kinetic energy overflows the float range$"
+    with pytest.raises(g.ParameterError, match=message):
+        g.half_energies(system, params, 1.0)
+    with pytest.raises(g.ParameterError, match=message):
+        g.fractions_series(system, params, [0.0, 1.0])
+    with pytest.raises(g.ParameterError, match=message):
+        g.fractions_series(system, params, [np.float64(0.0), 1.0])
+    with pytest.raises(g.ParameterError, match=message):
+        g.scaled_density(system, params, 0.0, 1.0)
+
+
+def test_the_first_time_whose_total_fails_names_the_fault_on_both_paths():
+    """T(0) underflows to 0.0 and T(1e160) overflows, as p_t = F*t does."""
+    system = g.uniform_acceleration(1e150)
+    params = g.make_params(mass=1e20, alpha=1e154, hbar=1e-21)
+    for first, other, fault in ((0.0, 1e160, "is not positive"),
+                                (1e160, 0.0, "overflows the float range")):
+        for times in ([first, other], [np.float64(first), other]):
+            with pytest.raises(g.ParameterError, match=f"^total kinetic energy {fault}$"):
+                g.fractions_series(system, params, times)

@@ -1,12 +1,14 @@
 """The per-time paths agree with each other bit for bit.
 
-fractions_series evaluates the closed forms over a whole list of times,
-gated once and with the math-module functions mapped over arrays;
-half_energies evaluates them at one time.  moments_at places the packet
-with the geometry alone, state_at builds the whole state.  Over seeded
-systems, parameters and times these pairs must give the same bits, and
-a list with a bad time must be refused as the scalar call refuses that
-time.  The comparisons are between two library paths, not against
+fractions_series has two paths.  A list of finite ints and floats, within
+the oscillator's bound of its plain functions, is gated once and
+evaluated over arrays, with the math-module functions mapped per time;
+any other list is half_energies per time, the scalar reference.
+moments_at places the packet with the geometry alone, state_at builds
+the whole state.  Over seeded systems, parameters and times these pairs
+must give the same bits, each list must take the path its times choose,
+and a list with a bad time must be refused as the scalar call refuses
+that time.  The comparisons are between two library paths, not against
 pinned digests, so they hold at every numpy dispatch level.
 """
 
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 import gausspack as g
+from gausspack import kedensity
 
 SEEDS = (1, 2, 3)
 
@@ -69,6 +72,34 @@ def test_fractions_series_gives_the_bits_of_half_energies(seed):
                 assert _hex(split) == _hex(g.half_energies(system, params, t)), (system, t)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_each_list_takes_the_path_its_times_choose(seed, monkeypatch):
+    calls = []
+    original = kedensity.half_energies
+
+    def counted(system, params, t):
+        calls.append(t)
+        return original(system, params, t)
+
+    monkeypatch.setattr(kedensity, "half_energies", counted)
+    cases = _cases(random.Random(seed))
+    # Floats and an int within every bound: the one-array path.
+    for system, params, times in cases[:4]:
+        g.fractions_series(system, params, times[:100] + [3] + times[100:200])
+    assert calls == []
+    # An np.float64 on any system, or inverted times past |omega_tilde*t| = 30:
+    # half_energies once per time.
+    for system, params, times in cases[:4]:
+        given = times[:50] + [np.float64(3.0)] + times[50:]
+        g.fractions_series(system, params, given)
+        assert calls == given
+        calls.clear()
+    for system, params, times in cases[4:]:
+        g.fractions_series(system, params, times)
+        assert calls == times
+        calls.clear()
+
+
 @pytest.mark.parametrize("system, bad", [
     (g.free_particle(), math.nan),
     (g.uniform_acceleration(1.0), True),
@@ -76,12 +107,14 @@ def test_fractions_series_gives_the_bits_of_half_energies(seed):
     (g.harmonic_oscillator(1e150), 1e300),  # omega*t beyond the float range
     (g.inverted_oscillator(1.0), 301.0),
     (g.inverted_oscillator(1.0), -301.0),
+    (g.inverted_oscillator(1.0), [1.0, 301.0, math.nan]),  # a whole list
 ])
 def test_a_bad_time_in_a_list_is_refused_as_the_scalar_call_refuses_it(system, bad):
     params = g.make_params(p0=0.5)
-    with pytest.raises(Exception) as scalar:
-        g.half_energies(system, params, bad)
-    times = [0.0, 0.5, 1.0, bad, 2.0, math.inf]  # the first bad time decides
+    times = bad if type(bad) is list else [0.0, 0.5, 1.0, bad, 2.0, math.inf]
+    with pytest.raises(Exception) as scalar:  # the first bad time decides
+        for t in times:
+            g.half_energies(system, params, t)
     with pytest.raises(type(scalar.value)) as series:
         g.fractions_series(system, params, times)
     assert type(series.value) is type(scalar.value)
