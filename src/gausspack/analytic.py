@@ -299,11 +299,11 @@ def _checked(system, params, t):
 def _checked_times(system, params, times):
     """(a float64 array, terms) for a non-empty list of times, or None.
 
-    The one-array gate: ints and floats, all finite and, for an
-    oscillator, with every |omega*t| within its bound.  Any other list
+    The one-array gate: ints, floats and np.float64s, all finite and, for
+    an oscillator, with every |omega*t| within its bound.  Any other list
     gives None, and the caller evaluates it per time.
     """
-    if not set(map(type, times)) <= {float, int}:
+    if not set(map(type, times)) <= {float, int, np.float64}:
         return None
     try:
         t = np.array(times, dtype=float)

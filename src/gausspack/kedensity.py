@@ -128,12 +128,12 @@ def half_energies(system, params, t):
 def fractions_series(system, params, times):
     """half_energies over a sequence of times, with the same bits.
 
-    A list that _checked_times passes is gated once and evaluated over
-    float64 arrays, the math-module functions mapped per time; overflow
-    there gives inf without a warning, as float arithmetic does.  Any
-    other list (an np.float64 in it, an inverted time past
-    |omega_tilde*t| = 30) is half_energies per time.  Records are built
-    by tuple.__new__, as EnergySplit._make builds them.
+    A list that _checked_times passes, a float64 ndarray too, is gated
+    once and evaluated over float64 arrays, the math-module functions
+    mapped per time; overflow there gives inf without a warning, as float
+    arithmetic does.  Any other list (an np.float32 or a nan in it, an
+    inverted time past |omega_tilde*t| = 30) is half_energies per time.
+    Records are built by tuple.__new__, as EnergySplit._make builds them.
     """
     times = list(times)
     if not times:

@@ -1,10 +1,12 @@
 """Analytic-versus-oracle check suite.
 
 Each check compares a closed-form quantity against an independent
-numerical estimate (sums on one periodic packet grid, exact up to
-rounding, or the split-step propagator) and records both values plus
-absolute and relative errors.  The default suite covers, for each of the
-four systems:
+numerical estimate and records both values plus absolute and relative
+errors.  Every check samples psi on one periodic packet grid,
+oracle._packet_grid, where grid sums and FFTs are exact up to
+rounding; a grid too coarse for psi fails its spectral tail test with
+a ResolutionError instead of giving a number.  The default suite
+covers, for each of the four systems:
 
 * ``normalization-*`` — the grid sum of |psi|**2 dx is 1;
 * ``ibp-*`` — the second-derivative form -(hbar^2/2m) sum psi* psi'' dx
@@ -12,8 +14,8 @@ four systems:
   integration-by-parts identity holds;
 * ``halves-*`` — the exact integral of the kinetic energy density's
   trigonometric interpolant above the packet center matches T+;
-* ``splitstep-*`` — split-step propagation from t=0 matches the
-  analytic state in L2 norm;
+* ``splitstep-*`` — split-step propagation of psi(0) on the grid of
+  time t matches the analytic state there in L2 norm;
 
 plus two ``reduction-*`` checks confirming that the oscillator and the
 uniformly accelerated packet reduce to the free packet pointwise as
@@ -36,11 +38,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import _spread_window, eval_psi, moments_at
+from .analytic import eval_psi, moments_at
 from .kedensity import half_energies, kinetic_density, total_kinetic
-from .oracle import PropagatorSpec, _packet_grid, _upper_half_integral, propagate
+from .oracle import (
+    PropagatorSpec, _packet_grid, _upper_half_integral, packet_window, propagate,
+)
 from .quantities import (
-    SystemKind,
     _SHAPE_FIELD,
     _require_positive,
     free_particle,
@@ -100,21 +103,14 @@ def _reduction_cases():
     )
 
 
-# Split-step configuration per system: (domain, dt), on the default
-# 4096-point grid with the fourth-order scheme.  Its error terms vanish
-# for V = 0 and for a linear V, so free and accelerated propagation are
-# exact up to rounding at any dt; the oscillators use steps small enough
-# that the O(dt^4) error sits well below the tolerance.
-_SPLITSTEP = {
-    SystemKind.FREE: ((-40.0, 40.0), 0.05),
-    SystemKind.UNIFORM_ACCELERATION: ((-40.0, 40.0), 0.05),
-    SystemKind.HARMONIC: ((-24.0, 24.0), 0.01),
-    SystemKind.INVERTED: ((-48.0, 48.0), 0.01),
-}
-
-
-# Points of the normalization and ibp grids; halves samples twice as many.
+# Points of the packet grid; halves samples twice as many.
 _GRID_N = 256
+
+# Split-step time step, with the fourth-order scheme.  Its error terms
+# vanish for V = 0 and for a linear V, so free and accelerated propagation
+# are exact up to rounding at any dt; for the oscillators the O(dt**4)
+# error sits far below the tolerance.
+_SPLITSTEP_DT = 0.01
 
 
 def _check_normalization(system, params, t):
@@ -139,23 +135,20 @@ def _check_halves(system, params, t):
 
 
 def _check_splitstep(system, params, t):
-    domain, dt = _SPLITSTEP[system.kind]
+    xs, exact, dx = _packet_grid(system, params, t, _GRID_N)
     spec = PropagatorSpec(
-        system=system, constants=params.constants, domain=domain, dt=dt,
-        order=4,
+        system=system, constants=params.constants,
+        domain=packet_window(system, params, t), dt=_SPLITSTEP_DT,
+        n_grid=_GRID_N, order=4,
     )
-    xs = spec.grid()
     numeric = propagate(eval_psi(system, params, xs, 0.0), spec, t)
-    exact = eval_psi(system, params, xs, t)
-    distance = math.sqrt(float(np.sum(np.abs(numeric - exact) ** 2) * (xs[1] - xs[0])))
+    distance = math.sqrt(float(np.sum(np.abs(numeric - exact) ** 2) * dx))
     return 0.0, distance, 1e-6
 
 
 def _check_reduction(system, params, t):
-    free = free_particle()
-    lo, _, hi = _spread_window(free, params, t, 6.0)
-    xs = np.linspace(lo, hi, 801)
-    diff = np.abs(eval_psi(system, params, xs, t) - eval_psi(free, params, xs, t))
+    xs, free_psi, _ = _packet_grid(free_particle(), params, t, _GRID_N)
+    diff = np.abs(eval_psi(system, params, xs, t) - free_psi)
     return 0.0, float(np.max(diff)), 1e-5
 
 

@@ -1,9 +1,10 @@
 """The per-time paths agree with each other bit for bit.
 
-fractions_series has two paths.  A list of finite ints and floats, within
-the oscillator's bound of its plain functions, is gated once and
-evaluated over arrays, with the math-module functions mapped per time;
-any other list is half_energies per time, the scalar reference.
+fractions_series has two paths.  A list of finite ints, floats and
+np.float64s (a float64 ndarray too), within the oscillator's bound of
+its plain functions, is gated once and evaluated over arrays, with the
+math-module functions mapped per time; any other list is half_energies
+per time, the scalar reference.
 moments_at places the packet with the geometry alone, state_at builds
 the whole state.  Over seeded systems, parameters and times these pairs
 must give the same bits, each list must take the path its times choose,
@@ -62,14 +63,17 @@ def _cases(rng):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fractions_series_gives_the_bits_of_half_energies(seed):
     for system, params, times in _cases(random.Random(seed)):
-        # Ints and floats take the one-array gate; an np.float64 among them
-        # the per-time one.
-        for extra in ([], [3], [np.float64(3.0)]):
+        # Ints, floats and np.float64s take the one-array gate; an
+        # np.float32 among them the per-time one.
+        for extra in ([], [3], [np.float64(3.0)], [np.float32(3.0)]):
             given = times[:50] + extra + times[50:]
             series = g.fractions_series(system, params, given)
             assert len(series) == len(given)
             for t, split in zip(given, series):
                 assert _hex(split) == _hex(g.half_energies(system, params, t)), (system, t)
+        series = g.fractions_series(system, params, np.array(times))
+        assert [_hex(split) for split in series] == [
+            _hex(g.half_energies(system, params, t)) for t in times]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -83,14 +87,16 @@ def test_each_list_takes_the_path_its_times_choose(seed, monkeypatch):
 
     monkeypatch.setattr(kedensity, "half_energies", counted)
     cases = _cases(random.Random(seed))
-    # Floats and an int within every bound: the one-array path.
+    # Floats, an int and an np.float64 within every bound, or a float64
+    # ndarray: the one-array path.
     for system, params, times in cases[:4]:
-        g.fractions_series(system, params, times[:100] + [3] + times[100:200])
+        g.fractions_series(system, params, times[:100] + [3, np.float64(3.0)] + times[100:200])
+        g.fractions_series(system, params, np.array(times[:200]))
     assert calls == []
-    # An np.float64 on any system, or inverted times past |omega_tilde*t| = 30:
+    # An np.float32 on any system, or inverted times past |omega_tilde*t| = 30:
     # half_energies once per time.
     for system, params, times in cases[:4]:
-        given = times[:50] + [np.float64(3.0)] + times[50:]
+        given = times[:50] + [np.float32(3.0)] + times[50:]
         g.fractions_series(system, params, given)
         assert calls == given
         calls.clear()
@@ -108,6 +114,7 @@ def test_each_list_takes_the_path_its_times_choose(seed, monkeypatch):
     (g.inverted_oscillator(1.0), 301.0),
     (g.inverted_oscillator(1.0), -301.0),
     (g.inverted_oscillator(1.0), [1.0, 301.0, math.nan]),  # a whole list
+    (g.free_particle(), np.float64(math.nan)),  # named as np.float64(nan)
 ])
 def test_a_bad_time_in_a_list_is_refused_as_the_scalar_call_refuses_it(system, bad):
     params = g.make_params(p0=0.5)

@@ -1,6 +1,7 @@
 import pytest
 
 import gausspack as g
+from gausspack import analytic, oracle, validation
 
 _FREE = {"hbar": 1.0, "mass": 1.0, "alpha": 1.0, "x0": 0.3, "p0": 1.2, "t": 1.5}
 _ACCEL = {"hbar": 1.0, "mass": 1.0, "alpha": 0.8, "x0": 0.0, "p0": -0.6, "t": 1.2,
@@ -91,3 +92,45 @@ def test_grid_checks_are_exact_to_rounding(suite):
     grid = [r for r in suite if r.name.split("-")[0] in ("normalization", "ibp", "halves")]
     assert len(grid) == 12
     assert max(r.rel_err for r in grid) <= 1e-14
+
+
+def test_every_check_samples_the_packet_grid(monkeypatch):
+    calls = []
+    original = validation._packet_grid
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(validation, "_packet_grid", counted)
+    assert len(g.run_checks()) == len(calls) == 18
+
+
+@pytest.mark.parametrize("family", ["splitstep", "reduction"])
+def test_a_grid_too_coarse_for_psi_is_refused(family, monkeypatch):
+    monkeypatch.setattr(validation, "_GRID_N", 32)
+    for name, _, _, _ in SUITE:
+        if name.startswith(family):
+            with pytest.raises(g.ResolutionError):
+                g.run_checks(name_filter=name)
+
+
+def test_splitstep_checks_keep_a_wide_margin(suite):
+    splitstep = [r for r in suite if r.name.startswith("splitstep-")]
+    assert len(splitstep) == 4
+    assert all(r.rel_err <= 0.1 * r.tol for r in splitstep)
+
+
+def test_a_phase_error_after_t0_fails_every_splitstep_check(monkeypatch):
+    """Negative control: the closed form at t > 0 off by a phase of 1e-4."""
+    original = analytic.state_at
+
+    def shifted(system, params, t):
+        state = original(system, params, t)
+        return state._replace(const_phase=state.const_phase + 1e-4) if t > 0 else state
+
+    for module in (analytic, oracle):
+        monkeypatch.setattr(module, "state_at", shifted)
+    results = g.run_checks(name_filter="splitstep")
+    assert len(results) == 4
+    assert not any(r.passed for r in results)
