@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import (
-    _OSCILLATORS, _SQRT_PI, _checked, _checked_times, _envelope, _flow, _gamma, _kinetic,
+    _OSCILLATORS, _SQRT_PI, _checked, _checked_times, _envelope, _flow, _kinetic,
     _mapped, _prob_at_offset, _shear, state_at, total_kinetic,
 )
 from .errors import ParameterError
@@ -47,9 +47,6 @@ __all__ = [
     "accel_event_times",
     "asymmetry_amplitude",
 ]
-
-_TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
-
 
 class EnergySplit(NamedTuple):
     """Kinetic energy of a packet split at its center.
@@ -101,19 +98,26 @@ def _positive(total):
 def _split(system, params, t, terms):
     """The EnergySplit fields at t, from the classical flow.
 
-    T = grow2*(p_t**2 + |beta*P|**2/2)/2m, and half of T_plus - T_minus is
-    grow2*p_t*Re(beta*P*conj(beta*Z))/(2*sqrt(pi)*m*|beta*Z|).  t and terms
-    come from _checked or _checked_times: a float, or a float64 array
-    whose |z| is math.hypot per element, so both give the same bits.
+    t and terms come from _checked or _checked_times: a float, or a float64
+    array whose |z| is math.hypot per element, so both give the same bits.
     """
     _, grow2, _, p_t, _, beta_c, d_over_alpha = _flow(system, params, t, terms)
     _, z_re, z_im, _ = _envelope(system, params, t, terms)
     abs_z = math.hypot(z_re, z_im) if type(t) is float else _mapped(math.hypot, z_re, z_im)
-    total = _positive(_kinetic(params.mass, grow2, p_t, beta_c, d_over_alpha))
+    return _split_row(t, params.mass, grow2, p_t, beta_c, d_over_alpha, z_re, z_im, abs_z)
+
+
+def _split_row(t, mass, grow2, p_t, beta_c, d_over_alpha, z_re, z_im, abs_z):
+    """The EnergySplit fields of one row (p_t, beta*C, D/alpha, beta*Z) of the flow.
+
+    T = grow2*(p_t**2 + |beta*P|**2/2)/2m, and half of T_plus - T_minus is
+    grow2*p_t*Re(beta*P*conj(beta*Z))/(2*sqrt(pi)*m*|beta*Z|).
+    """
+    total = _positive(_kinetic(mass, grow2, p_t, beta_c, d_over_alpha))
     # 2*sqrt(pi)*mass > 0, and |z| >= 1 for Z = 1 + i*t/t0 and >= min(beta, gamma)/2 > 0
     # for the oscillators' beta*Z: no divisor here underflows.
     delta = grow2 * p_t * (_shear(beta_c, d_over_alpha, z_re, z_im, abs_z)
-                           / (2.0 * _SQRT_PI * params.mass))
+                           / (2.0 * _SQRT_PI * mass))
     plus = 0.5 * total + delta
     minus = 0.5 * total - delta
     r_plus = plus / total
@@ -146,49 +150,42 @@ def fractions_series(system, params, times):
     return tuple(map(tuple.__new__, repeat(EnergySplit), zip(*(c.tolist() for c in columns))))
 
 
-def fraction_limits(system, params):
-    """Characteristic (r_plus, r_minus) values for each system.
+def _drift_limit(params, p_t):
+    """(r_plus, r_minus) of a drifting packet at momentum p_t once its spread
+    has saturated: beta*C = 0, D/alpha = 1/alpha and Z/|Z| = i."""
+    return _split_row(0.0, params.mass, 1.0, p_t, 0.0, 1.0 / params.alpha, 0.0, 1.0, 1.0)[4:]
 
-    Free: the t -> +inf limits.  Inverted: the t -> +inf limits (finite
-    because the asymmetry saturates).  Harmonic: the values attained an
-    eighth of a period into the cycle, where the split is extremal over
-    the cycle.  Uniform acceleration: the asymmetry decays once
-    |p0 + F*t| grows, so the t -> +inf limits are (1/2, 1/2); the
-    transient structure is exposed through fractions_series and
-    accel_event_times instead.
+
+def fraction_limits(system, params):
+    """(r_plus, r_minus) by half_energies' arithmetic at the system's limit point.
+
+    Free and inverted: t -> +inf, finite as the asymmetry saturates.  Harmonic:
+    tau/8, where the split is extremal over the cycle.  Uniform acceleration:
+    (1/2, 1/2), as the asymmetry decays once |p0 + F*t| grows; fractions_series
+    and accel_event_times expose its transient instead.
     """
     kind = system.kind
-    p0 = params.p0
-
-    if kind is SystemKind.FREE:
-        s = p0 * params.alpha
-        shift = _TWO_OVER_SQRT_PI * s / (2.0 * s * s + 1.0)
-        return 0.5 + shift, 0.5 - shift
-
-    if kind is SystemKind.UNIFORM_ACCELERATION:
-        return 0.5, 0.5
-
-    omega = system.shape
-    gamma = _gamma(params, omega)
-    kappa = gamma * gamma + params.beta**2
-    s = p0 / (params.mass * omega)
-    shift = _TWO_OVER_SQRT_PI * (s / (2.0 * s * s + kappa))
-    if kind is SystemKind.HARMONIC:
-        shift = shift * (gamma * gamma - params.beta**2) / math.sqrt(kappa)
-    else:
-        shift = shift * math.sqrt(kappa)
-    return 0.5 + shift, 0.5 - shift
+    oscillator = _OSCILLATORS.get(kind)
+    if oscillator:  # c = s: cos and sin at tau/8, cosh and sinh over grow as t -> inf
+        c = math.sqrt(0.5) if kind is SystemKind.HARMONIC else 0.5
+        return _split(system, params, 0.0, (system.shape, oscillator[0], 1.0, 1.0, c, c))[4:]
+    return _drift_limit(params, params.p0) if kind is SystemKind.FREE else (0.5, 0.5)
 
 
 def extremal_p0(system, params):
-    """The p0 > 0 that maximizes the asymmetry measured by fraction_limits."""
+    """The p0 > 0 that maximizes the asymmetry measured by fraction_limits.
+
+    delta/T = p*sh/(sqrt(pi)*(p**2 + S**2/2)) with p = p_t, S = |beta*P| and
+    |sh| <= S is largest at p = S/sqrt(2), so this is the p0 whose p_t on
+    the limit row is |beta*P|/sqrt(2).  Free: p_t = p0 and S = 1/alpha.
+    Oscillators, on the row divided by c = s: p_t = p0 and
+    S**2 = (beta*mass*omega)**2 + (hbar/beta)**2, in halves under the root.
+    """
     kind = system.kind
     if kind is SystemKind.FREE:
         return 1.0 / (params.alpha * math.sqrt(2.0))
     if kind is SystemKind.UNIFORM_ACCELERATION:
-        raise ParameterError(
-            "extremal p0 is defined for free and oscillator systems only"
-        )
+        raise ParameterError("extremal p0 is defined for free and oscillator systems only")
     product = _require_squarable("beta*mass*omega", params.beta * params.mass * system.shape)
     return math.sqrt(product**2 / 2.0 + params.hbar**2 / (2.0 * params.beta**2))
 
@@ -222,13 +219,12 @@ def asymmetry_amplitude(system, params, t):
     """Long-time kinetic asymmetry amplitude at the instantaneous momentum.
 
     For drifting packets the fraction shift (r_plus - 1/2) approaches
-    (2/sqrt(pi)) * s/(2s**2+1) with s = alpha*(p0 + F*t) once the
-    spreading factor saturates; this returns the absolute value of that
-    amplitude, which peaks exactly where |p0 + F*t| equals the momentum
-    spread.
+    (2/sqrt(pi)) * s/(2s**2+1) with s = alpha*(p0 + F*t) once the spread
+    saturates; this returns its absolute value, half_energies' arithmetic
+    on the saturated row, which peaks exactly where |p0 + F*t| equals the
+    momentum spread.
     """
     t = _require_finite("t", t)
     if system.kind in _OSCILLATORS:
         raise ParameterError("asymmetry amplitude applies to drifting packets only")
-    s = params.alpha * (params.p0 + system.shape * t)
-    return _TWO_OVER_SQRT_PI * abs(s) / (2.0 * s * s + 1.0)
+    return abs(_drift_limit(params, params.p0 + system.shape * t)[0] - 0.5)

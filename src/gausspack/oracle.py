@@ -226,10 +226,10 @@ _ALIAS_RATIO = 1e-12
 def momentum_transform(xs, psi, hbar=1.0):
     """Momentum amplitude phi(p) = (2*pi*hbar)**-0.5 * Int exp(-i p x/hbar) psi dx.
 
-    xs must be uniform, psi finite and hbar positive; returns (ps, phi)
-    with ps ascending.  If the spectral amplitude has not decayed at the
-    edge of the resolvable momentum window the sampling is too coarse and
-    a ResolutionError is raised.
+    xs must be finite and uniform to a few ulp of max|x|, psi finite and
+    hbar positive; returns (ps, phi) with ps ascending.  If the spectral
+    amplitude has not decayed at the edge of the resolvable momentum window
+    the sampling is too coarse and a ResolutionError is raised.
     """
     hbar = _require_positive("hbar", hbar)
     xs = np.asarray(xs, dtype=float)
@@ -239,7 +239,10 @@ def momentum_transform(xs, psi, hbar=1.0):
     if not np.isfinite(psi).all():
         raise ParameterError("psi must be finite")
     dx = xs[1] - xs[0]
-    if not np.allclose(np.diff(xs), dx, rtol=1e-12, atol=0.0):
+    # Each x is rounded to an ulp of max|x|, at an end of a uniform grid, so a step
+    # may miss dx by a few of those; an infinite end leaves no finite slack.
+    slack = 8.0 * _EPS * max(abs(xs[0]), abs(xs[-1]))
+    if not (slack < math.inf and np.allclose(np.diff(xs), dx, rtol=1e-12, atol=slack)):
         raise ParameterError("grid must be uniformly spaced")
     ps = np.fft.fftshift(2.0 * math.pi * hbar * np.fft.fftfreq(xs.size, d=dx))
     phase = np.exp(-1j * ps * (xs[0] / hbar))  # the grid starts at xs[0], not 0

@@ -309,6 +309,11 @@ def test_a_total_that_underflows_to_zero_is_refused_on_both_paths():
         g.half_energies(system, params, 0.0)
     with pytest.raises(g.ParameterError, match="^total kinetic energy is not positive$"):
         g.fractions_series(system, params, [0.0, 1.0])
+    # The free packet's T is constant in t: its limit row has the same T.
+    with pytest.raises(g.ParameterError, match="^total kinetic energy is not positive$"):
+        g.fraction_limits(system, params)
+    with pytest.raises(g.ParameterError, match="^total kinetic energy is not positive$"):
+        g.asymmetry_amplitude(system, params, 1.0)
 
 
 _OVERFLOWING_TOTAL = {"mass": 1e-200, "alpha": 1e-130, "hbar": 1e140}
@@ -328,6 +333,10 @@ def test_a_total_that_overflows_is_refused_on_every_path():
         g.fractions_series(system, params, [np.float64(0.0), 1.0])
     with pytest.raises(g.ParameterError, match=message):
         g.scaled_density(system, params, 0.0, 1.0)
+    with pytest.raises(g.ParameterError, match=message):
+        g.fraction_limits(system, params)
+    with pytest.raises(g.ParameterError, match=message):
+        g.asymmetry_amplitude(system, params, 1.0)
 
 
 def test_the_first_time_whose_total_fails_names_the_fault_on_both_paths():
@@ -339,3 +348,137 @@ def test_the_first_time_whose_total_fails_names_the_fault_on_both_paths():
         for times in ([first, other], [np.float64(first), other]):
             with pytest.raises(g.ParameterError, match=f"^total kinetic energy {fault}$"):
                 g.fractions_series(system, params, times)
+
+
+# |r_plus - 1/2| = |delta/T| = |p*sh|/(sqrt(pi)*(p**2 + S**2/2)) with p = p_t,
+# S = |beta*P| and |sh| <= S, which is at most 1/sqrt(2*pi): the bound holds for
+# every Gaussian state of every system.  docs/energy_split.md section 5.
+_BOUND = 0.5 + 1.0 / math.sqrt(2.0 * math.pi)
+_ULPS = 4 * math.ulp(_BOUND)
+
+
+def _bound_cases(rng, n_params=120, n_times=40):
+    """(system, params, times): hbar, mass, alpha and the shape over two decades,
+    |p0| <= 100 or the extremal p0, t over six decades of the system's time
+    scale (|omega_tilde*t| < 30), either sign."""
+    for make in (g.free_particle, g.uniform_acceleration, g.harmonic_oscillator,
+                 g.inverted_oscillator):
+        drifting = make in (g.free_particle, g.uniform_acceleration)
+        for _ in range(n_params):
+            hbar, mass, alpha, shape = 10.0 ** rng.uniform(-1.0, 1.0, 4)
+            if make is g.free_particle:
+                system = make()
+            elif make is g.uniform_acceleration:
+                system = make(rng.choice((-shape, shape)))
+            else:
+                system = make(shape)
+            base = g.make_params(hbar=hbar, mass=mass, alpha=alpha)
+            if make is not g.uniform_acceleration and rng.random() < 0.3:
+                p0 = g.extremal_p0(system, base)
+            else:
+                p0 = rng.uniform(-100.0, 100.0)
+            params = g.make_params(hbar=hbar, mass=mass, alpha=alpha, p0=p0)
+            if make is g.inverted_oscillator:
+                scaled = 30.0 * 10.0 ** rng.uniform(-6.0, 0.0, n_times)
+            else:
+                scaled = 10.0 ** rng.uniform(-3.0, 3.0, n_times)
+            unit = params.t0 if drifting else 1.0 / shape
+            signs = rng.choice((-1.0, 1.0), n_times)
+            yield system, params, (signs * scaled * unit).tolist()
+
+
+def _check_the_bound():
+    rng = np.random.default_rng(17)
+    for system, params, times in _bound_cases(rng):
+        splits = np.array(g.fractions_series(system, params, times))
+        worst = float(splits[:, 4:].max())  # the larger of r_plus and r_minus
+        assert worst <= _BOUND + _ULPS, (system, params, worst)
+    # The bound is the supremum: the free extremal packet approaches it.
+    free = g.free_particle()
+    for hbar, mass, alpha in ((1.0, 1.0, 1.0), (0.2, 7.0, 3.0), (9.0, 0.3, 0.15)):
+        base = g.make_params(hbar=hbar, mass=mass, alpha=alpha)
+        params = g.make_params(hbar=hbar, mass=mass, alpha=alpha, p0=g.extremal_p0(free, base))
+        late, later = (s.r_plus for s in g.fractions_series(
+            free, params, [100.0 * params.t0, 1e4 * params.t0]))
+        assert _BOUND - late <= 2.1e-5 and _BOUND - later <= 3e-9, (params, late, later)
+
+
+def test_no_gaussian_carries_more_than_the_bound_in_one_half():
+    _check_the_bound()
+
+
+def _doubled_delta(monkeypatch):
+    shear = kedensity._shear
+    monkeypatch.setattr(kedensity, "_shear", lambda *row: 2.0 * shear(*row))
+
+
+def _no_half_in_spread_energy(monkeypatch):
+    monkeypatch.setattr(kedensity, "_kinetic", lambda mass, grow2, p_t, beta_c, d_over_alpha: (
+        grow2 * ((p_t * p_t + (beta_c * beta_c + d_over_alpha * d_over_alpha)) / (2.0 * mass))))
+
+
+@pytest.mark.parametrize("fault", [_doubled_delta, _no_half_in_spread_energy])
+def test_a_wrong_split_fails_the_bound_check(monkeypatch, fault):
+    """Negative control: twice delta passes the bound, and T with |beta*P|**2
+    in place of |beta*P|**2/2 keeps the extremal packet far below it."""
+    fault(monkeypatch)
+    with pytest.raises(AssertionError):
+        _check_the_bound()
+
+
+# The per-system closed forms fraction_limits, extremal_p0 and
+# asymmetry_amplitude evaluated before they read half_energies' arithmetic at
+# a limit point (docs/energy_split.md section 6): the new path is held to them.
+def _reference_limits(system, params):
+    kind, beta = system.kind, params.beta
+    if kind is g.SystemKind.UNIFORM_ACCELERATION:
+        return 0.5, 0.5
+    if kind is g.SystemKind.FREE:
+        s = params.p0 * params.alpha
+        shift = (2.0 / SQRT_PI) * s / (2.0 * s * s + 1.0)
+        return 0.5 + shift, 0.5 - shift
+    omega = system.shape
+    gamma = params.hbar / (params.mass * omega * beta)
+    kappa = gamma * gamma + beta**2
+    s = params.p0 / (params.mass * omega)
+    shift = (2.0 / SQRT_PI) * (s / (2.0 * s * s + kappa))
+    if kind is g.SystemKind.HARMONIC:
+        shift = shift * (gamma * gamma - beta**2) / math.sqrt(kappa)
+    else:
+        shift = shift * math.sqrt(kappa)
+    return 0.5 + shift, 0.5 - shift
+
+
+def _reference_extremal_p0(system, params):
+    if system.kind is g.SystemKind.FREE:
+        return 1.0 / (params.alpha * math.sqrt(2.0))
+    product = params.beta * params.mass * system.shape
+    return math.sqrt(product**2 / 2.0 + params.hbar**2 / (2.0 * params.beta**2))
+
+
+def _reference_amplitude(system, params, t):
+    s = params.alpha * (params.p0 + system.shape * t)
+    return (2.0 / SQRT_PI) * abs(s) / (2.0 * s * s + 1.0)
+
+
+def test_the_limit_rows_reproduce_the_per_system_closed_forms():
+    rng = np.random.default_rng(29)
+    for system, params, times in _bound_cases(rng, n_params=500, n_times=2):
+        limits = g.fraction_limits(system, params)
+        reference = _reference_limits(system, params)
+        assert max(abs(a - b) for a, b in zip(limits, reference)) <= 4.5e-16
+        assert limits[0] + limits[1] == 1.0
+        if system.kind in (g.SystemKind.FREE, g.SystemKind.UNIFORM_ACCELERATION):
+            for t in times:
+                amplitude = g.asymmetry_amplitude(system, params, t)
+                assert abs(amplitude - _reference_amplitude(system, params, t)) <= 4.5e-16
+        if system.kind is not g.SystemKind.UNIFORM_ACCELERATION:
+            assert g.extremal_p0(system, params) == _reference_extremal_p0(system, params)
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4"])
+def test_extremal_p0_keeps_the_bits_of_the_oscillator_presets(name):
+    scenario = g.preset(name)
+    base = g.make_params(alpha=scenario.params.alpha)
+    assert scenario.params.p0 == _reference_extremal_p0(scenario.system, base)
+    assert scenario.params.p0.hex() == "0x1.752e50db3a3a2p+0"

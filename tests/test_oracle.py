@@ -275,6 +275,26 @@ def test_momentum_transform_requires_uniform_grid():
         g.momentum_transform(xs, np.ones_like(xs, dtype=complex))
 
 
+@pytest.mark.parametrize("n", [16384, 65536])
+def test_momentum_transform_accepts_long_uniform_grids(n):
+    """linspace rounds each x to an ulp of max|x|, which from 16384 points on
+    is more than 1e-12 of dx: such grids were refused as not uniform."""
+    free = g.free_particle()
+    for half in (1.0, 10.0):
+        xs = np.linspace(-half, half, n)
+        psi = g.eval_psi(free, g.make_params(alpha=0.2 * half), xs, 0.0)
+        g.momentum_transform(xs, psi)
+        moved = xs.copy()
+        moved[n // 3] += 1e-9 * (xs[1] - xs[0])
+        with pytest.raises(g.ParameterError, match="uniformly spaced"):
+            g.momentum_transform(moved, psi)
+    for bad in (math.inf, math.nan):
+        xs = np.linspace(-1.0, 1.0, n)
+        xs[-1] = bad
+        with pytest.raises(g.ParameterError, match="uniformly spaced"):
+            g.momentum_transform(xs, np.ones_like(xs, dtype=complex))
+
+
 def test_momentum_transform_gates_hbar_and_psi():
     free = g.free_particle()
     xs = np.linspace(-40.0, 40.0, 1024, endpoint=False)
